@@ -5,6 +5,12 @@
 //! Tseitin-style helpers to encode exactly that shape (plus the usual clause,
 //! implication and cardinality helpers) without every caller re-implementing
 //! auxiliary-variable bookkeeping.
+//!
+//! Every helper creates its auxiliary variable (if any) before emitting its
+//! clauses, and emits them in a fixed order, so an encoding is a pure
+//! function of the calls made: together with the solver's branching-order
+//! contract (see [`crate::solver`]), the same calls always yield the same
+//! search.
 
 use crate::solver::{SolveResult, Solver};
 use crate::types::{Lit, Var};
@@ -13,6 +19,11 @@ use crate::types::{Lit, Var};
 #[derive(Default)]
 pub struct CnfBuilder {
     solver: Solver,
+    /// Scratch buffers reused across calls: the clause being added, and a
+    /// rule's head literals and current head conjunction.
+    clause_buffer: Vec<Lit>,
+    head_buffer: Vec<Lit>,
+    conj_buffer: Vec<Lit>,
 }
 
 impl CnfBuilder {
@@ -20,6 +31,9 @@ impl CnfBuilder {
     pub fn new() -> CnfBuilder {
         CnfBuilder {
             solver: Solver::new(),
+            clause_buffer: Vec::new(),
+            head_buffer: Vec::new(),
+            conj_buffer: Vec::new(),
         }
     }
 
@@ -48,18 +62,25 @@ impl CnfBuilder {
         self.clause(&[!a, b]);
     }
 
+    /// Adds the clause `¬negated₁ ∨ … ∨ ¬negatedₙ ∨ plain₁ ∨ … ∨ plainₘ`,
+    /// built in the scratch buffer.
+    fn clause_of(&mut self, negated: &[Lit], plain: &[Lit]) {
+        let mut c = std::mem::take(&mut self.clause_buffer);
+        c.clear();
+        c.extend(negated.iter().map(|&l| !l));
+        c.extend_from_slice(plain);
+        self.solver.add_clause(&c);
+        self.clause_buffer = c;
+    }
+
     /// Adds `⋀ antecedents → consequent`.
     pub fn implies_all(&mut self, antecedents: &[Lit], consequent: Lit) {
-        let mut c: Vec<Lit> = antecedents.iter().map(|&l| !l).collect();
-        c.push(consequent);
-        self.clause(&c);
+        self.clause_of(antecedents, &[consequent]);
     }
 
     /// Adds `⋀ antecedents → ⋁ consequents`.
     pub fn implies_any(&mut self, antecedents: &[Lit], consequents: &[Lit]) {
-        let mut c: Vec<Lit> = antecedents.iter().map(|&l| !l).collect();
-        c.extend_from_slice(consequents);
-        self.clause(&c);
+        self.clause_of(antecedents, consequents);
     }
 
     /// Returns a literal equivalent to the conjunction of `lits`
@@ -80,9 +101,7 @@ impl CnfBuilder {
             self.clause(&[!aux, l]);
         }
         // all lits -> aux
-        let mut c: Vec<Lit> = lits.iter().map(|&l| !l).collect();
-        c.push(aux);
-        self.clause(&c);
+        self.clause_of(lits, &[aux]);
         aux
     }
 
@@ -103,21 +122,32 @@ impl CnfBuilder {
             self.clause(&[!l, aux]);
         }
         // aux -> some lit
-        let mut c: Vec<Lit> = lits.to_vec();
-        c.insert(0, !aux);
-        self.clause(&c);
+        self.clause_of(&[aux], lits);
         aux
     }
 
     /// Encodes a *rule*: `⋀ body → ⋁ᵢ (⋀ headᵢ)` where each disjunct is a
     /// conjunction of literals.  This is exactly the shape of a ground NTGD /
     /// NDTGD under the stable model grounding.
-    pub fn rule(&mut self, body: &[Lit], head_disjuncts: &[Vec<Lit>]) {
-        let disjunct_lits: Vec<Lit> = head_disjuncts
-            .iter()
-            .map(|conj| self.and_lit(conj))
-            .collect();
-        self.implies_any(body, &disjunct_lits);
+    ///
+    /// Each disjunct becomes one [`CnfBuilder::and_lit`] literal, in disjunct
+    /// order (a one-literal disjunct is its own literal), before the rule's
+    /// clause is added.  With no disjunct the rule forbids its body.
+    pub fn rule<D>(&mut self, body: &[Lit], head_disjuncts: impl IntoIterator<Item = D>)
+    where
+        D: IntoIterator<Item = Lit>,
+    {
+        let mut heads = std::mem::take(&mut self.head_buffer);
+        let mut conj = std::mem::take(&mut self.conj_buffer);
+        heads.clear();
+        for disjunct in head_disjuncts {
+            conj.clear();
+            conj.extend(disjunct);
+            heads.push(self.and_lit(&conj));
+        }
+        self.clause_of(body, &heads);
+        self.head_buffer = heads;
+        self.conj_buffer = conj;
     }
 
     /// Adds "at least one of `lits`".
@@ -217,7 +247,7 @@ mod tests {
         let y = b.new_var().positive();
         let z = b.new_var().positive();
         let w = b.new_var().positive();
-        b.rule(&[x], &[vec![y, z], vec![w]]);
+        b.rule(&[x], [vec![y, z], vec![w]]);
         b.force(x);
         b.force(!w);
         let m = b.solve(&[]).model().unwrap().to_vec();
@@ -232,7 +262,7 @@ mod tests {
         let mut b = CnfBuilder::new();
         let x = b.new_var().positive();
         let y = b.new_var().positive();
-        b.rule(&[x], &[vec![y]]);
+        b.rule(&[x], [vec![y]]);
         b.force(!x);
         b.force(!y);
         assert!(b.solve(&[]).is_sat());

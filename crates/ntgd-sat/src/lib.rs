@@ -15,6 +15,13 @@
 //! encoding implications whose heads are disjunctions of conjunctions, which
 //! is exactly the shape produced by grounding NTGDs with existential
 //! variables.
+//!
+//! **Search-order contract.**  Decisions branch on the unassigned variable
+//! with the highest activity, lowest index on ties (see [`solver`]), so the
+//! search — and the sequence of models an incremental enumeration finds — is
+//! a pure function of the order in which variables and clauses are added.
+//! Capped stable-model listings are samples in that order; the crate's
+//! `trace_pin` test pins the search on a seeded corpus.
 
 pub mod cnf;
 pub mod solver;

@@ -1,5 +1,17 @@
 //! A compact CDCL solver: watched literals, 1-UIP learning, VSIDS-style
 //! activities, geometric restarts, incremental solving under assumptions.
+//!
+//! # Branching order
+//!
+//! Every decision picks the unassigned variable with the **highest
+//! activity, lowest index on ties**, with the variable's saved phase.  The
+//! pick is served by a binary heap keyed by exactly that total order, so it
+//! is deterministic and independent of how the heap happens to be laid out.
+//! Together with the fixed clause normalisation (literals sorted by
+//! [`Lit`] order) this makes the whole search — decisions, conflicts,
+//! learnt clauses, models — a pure function of the variables and clauses
+//! added, in the order they were added.  Callers that sample models (the
+//! capped stable-model enumeration of `ntgd-sms`) rely on this contract.
 
 use crate::types::{Lit, Var};
 
@@ -29,17 +41,123 @@ impl SolveResult {
 
 const UNASSIGNED: u8 = 2;
 
-#[derive(Clone)]
+/// A clause: the literals `arena[start..end]` of the solver's literal arena.
+#[derive(Clone, Copy)]
 struct Clause {
-    lits: Vec<Lit>,
+    start: usize,
+    end: usize,
     learnt: bool,
 }
 
 type ClauseRef = usize;
 
+/// Marks a variable that is not in the [`VarOrder`] heap.
+const ABSENT: usize = usize::MAX;
+
+/// The branching order: a binary max-heap of variables under "higher
+/// activity first, lower index on ties".  Assigned variables may linger in
+/// the heap (they are skipped when popped); every unassigned variable is in
+/// it.
+#[derive(Default)]
+struct VarOrder {
+    heap: Vec<u32>,
+    /// Position of each variable in `heap`, or [`ABSENT`].
+    position: Vec<usize>,
+}
+
+impl VarOrder {
+    fn before(activity: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (activity[a as usize], activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn contains(&self, v: usize) -> bool {
+        self.position[v] != ABSENT
+    }
+
+    fn insert(&mut self, v: usize, activity: &[f64]) {
+        if self.contains(v) {
+            return;
+        }
+        self.position[v] = self.heap.len();
+        self.heap.push(v as u32);
+        self.sift_up(self.heap.len() - 1, activity);
+    }
+
+    /// Restores the heap after `v`'s activity grew.
+    fn increased(&mut self, v: usize, activity: &[f64]) {
+        if self.contains(v) {
+            self.sift_up(self.position[v], activity);
+        }
+    }
+
+    fn pop(&mut self, activity: &[f64]) -> Option<usize> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty heap");
+        self.position[top as usize] = ABSENT;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.position[last as usize] = 0;
+            self.sift_down(0, activity);
+        }
+        Some(top as usize)
+    }
+
+    /// Re-heapifies from scratch (after every activity was rescaled, which
+    /// may turn strict activity orders into ties).
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::before(activity, v, self.heap[parent]) {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            self.position[self.heap[i] as usize] = i;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.position[v as usize] = i;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && Self::before(activity, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            if !Self::before(activity, self.heap[child], v) {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            self.position[self.heap[i] as usize] = i;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.position[v as usize] = i;
+    }
+}
+
 /// A CDCL SAT solver.
 pub struct Solver {
     clauses: Vec<Clause>,
+    /// the literals of every clause, back to back.
+    arena: Vec<Lit>,
     /// watches[lit.index()] = clause refs currently watching `lit`.
     watches: Vec<Vec<ClauseRef>>,
     /// assignment per variable: 0 = false, 1 = true, 2 = unassigned.
@@ -57,10 +175,16 @@ pub struct Solver {
     /// VSIDS-ish activity per variable.
     activity: Vec<f64>,
     var_inc: f64,
+    /// branching order over the variables (see the module docs).
+    order: VarOrder,
     /// saved phase per variable.
     phase: Vec<bool>,
     /// set once the clause database is unsatisfiable at level 0.
     unsat: bool,
+    /// scratch buffer for clause normalisation in `add_clause`.
+    add_buffer: Vec<Lit>,
+    /// scratch marks of conflict analysis; all `false` between calls.
+    seen: Vec<bool>,
     /// statistics: number of conflicts seen.
     conflicts: u64,
     /// statistics: number of decisions taken.
@@ -80,6 +204,7 @@ impl Solver {
     pub fn new() -> Solver {
         Solver {
             clauses: Vec::new(),
+            arena: Vec::new(),
             watches: Vec::new(),
             assign: Vec::new(),
             level: Vec::new(),
@@ -89,8 +214,11 @@ impl Solver {
             qhead: 0,
             activity: Vec::new(),
             var_inc: 1.0,
+            order: VarOrder::default(),
             phase: Vec::new(),
             unsat: false,
+            add_buffer: Vec::new(),
+            seen: Vec::new(),
             conflicts: 0,
             decisions: 0,
             propagations: 0,
@@ -105,8 +233,11 @@ impl Solver {
         self.reason.push(None);
         self.activity.push(0.0);
         self.phase.push(false);
+        self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
+        self.order.position.push(ABSENT);
+        self.order.insert(v.index(), &self.activity);
         v
     }
 
@@ -139,10 +270,9 @@ impl Solver {
         let v = self.assign[lit.var().index()];
         if v == UNASSIGNED {
             UNASSIGNED
-        } else if lit.is_positive() {
-            v
         } else {
-            1 - v
+            // The lowest literal bit is set for negative literals.
+            v ^ (lit.0 & 1) as u8
         }
     }
 
@@ -159,47 +289,56 @@ impl Solver {
         // Clauses may be added between solve() calls; discard any leftover
         // search state first.
         self.backtrack_to(0);
-        // Normalize: sort, dedupe, drop tautologies and false literals.
-        let mut lits: Vec<Lit> = lits.to_vec();
-        lits.sort();
-        lits.dedup();
-        let mut normalized = Vec::with_capacity(lits.len());
-        for &l in &lits {
-            if lits.contains(&!l) {
-                return true; // tautology, trivially satisfied
-            }
-            match self.value(l) {
-                1 => return true, // already satisfied at level 0
-                0 => continue,    // already false at level 0, drop literal
-                _ => normalized.push(l),
-            }
-        }
-        match normalized.len() {
-            0 => {
-                self.unsat = true;
-                false
-            }
-            1 => {
-                self.enqueue(normalized[0], None);
-                if self.propagate().is_some() {
+        // Normalize: sort, dedupe, drop tautologies and false literals.  A
+        // literal and its negation differ only in the lowest bit, so after
+        // sorting a tautology shows up as two adjacent literals of one
+        // variable.
+        let mut lits_buf = std::mem::take(&mut self.add_buffer);
+        lits_buf.clear();
+        lits_buf.extend_from_slice(lits);
+        lits_buf.sort_unstable();
+        lits_buf.dedup();
+        let satisfied = lits_buf.windows(2).any(|w| w[0].var() == w[1].var())
+            || lits_buf.iter().any(|&l| self.value(l) == 1);
+        let result = if satisfied {
+            true
+        } else {
+            lits_buf.retain(|&l| self.value(l) == UNASSIGNED);
+            match lits_buf.len() {
+                0 => {
                     self.unsat = true;
                     false
-                } else {
+                }
+                1 => {
+                    self.enqueue(lits_buf[0], None);
+                    if self.propagate().is_some() {
+                        self.unsat = true;
+                        false
+                    } else {
+                        true
+                    }
+                }
+                _ => {
+                    self.attach_clause(&lits_buf, false);
                     true
                 }
             }
-            _ => {
-                self.attach_clause(normalized, false);
-                true
-            }
-        }
+        };
+        self.add_buffer = lits_buf;
+        result
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
         let cref = self.clauses.len();
         self.watches[lits[0].index()].push(cref);
         self.watches[lits[1].index()].push(cref);
-        self.clauses.push(Clause { lits, learnt });
+        let start = self.arena.len();
+        self.arena.extend_from_slice(lits);
+        self.clauses.push(Clause {
+            start,
+            end: self.arena.len(),
+            learnt,
+        });
         cref
     }
 
@@ -224,48 +363,40 @@ impl Solver {
             let mut i = 0;
             while i < watch_list.len() {
                 let cref = watch_list[i];
+                let Clause { start, end, .. } = self.clauses[cref];
                 // Make sure the false literal is at position 1.
-                let (w0, w1) = {
-                    let c = &mut self.clauses[cref];
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    (c.lits[0], c.lits[1])
-                };
-                debug_assert_eq!(w1, false_lit);
+                if self.arena[start] == false_lit {
+                    self.arena.swap(start, start + 1);
+                }
+                let w0 = self.arena[start];
+                debug_assert_eq!(self.arena[start + 1], false_lit);
                 // If the other watch is true, the clause is satisfied.
                 if self.value(w0) == 1 {
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let mut found = None;
-                {
-                    let c = &self.clauses[cref];
-                    for (k, &l) in c.lits.iter().enumerate().skip(2) {
-                        if self.value(l) != 0 {
-                            found = Some((k, l));
-                            break;
-                        }
-                    }
-                }
-                if let Some((k, l)) = found {
-                    self.clauses[cref].lits.swap(1, k);
-                    self.watches[l.index()].push(cref);
+                if let Some(k) = (start + 2..end).find(|&k| self.value(self.arena[k]) != 0) {
+                    self.arena.swap(start + 1, k);
+                    self.watches[self.arena[start + 1].index()].push(cref);
                     watch_list.swap_remove(i);
                     continue;
                 }
                 // No new watch: clause is unit or conflicting.
                 if self.value(w0) == 0 {
                     // Conflict: restore the remaining watches and return.
-                    self.watches[false_lit.index()].append(&mut watch_list);
+                    debug_assert!(self.watches[false_lit.index()].is_empty());
+                    self.watches[false_lit.index()] = watch_list;
                     self.qhead = self.trail.len();
                     return Some(cref);
                 }
                 self.enqueue(w0, Some(cref));
                 i += 1;
             }
-            self.watches[false_lit.index()].extend(watch_list);
+            // Nothing else watches the false literal meanwhile: hand the
+            // list (and its capacity) back.
+            debug_assert!(self.watches[false_lit.index()].is_empty());
+            self.watches[false_lit.index()] = watch_list;
         }
         None
     }
@@ -277,14 +408,17 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.increased(v.index(), &self.activity);
         }
     }
 
     /// 1-UIP conflict analysis.  Returns the learnt clause (asserting literal
     /// first) and the backtrack level.
     fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = Vec::new();
-        let mut seen = vec![false; self.num_vars()];
+        // learnt[0] is reserved for the asserting literal.
+        let mut learnt: Vec<Lit> = vec![Lit(0)];
         let mut counter = 0usize;
         let mut lit: Option<Lit> = None;
         let mut index = self.trail.len();
@@ -292,16 +426,17 @@ impl Solver {
         let current_level = self.decision_level();
 
         loop {
-            let clause_lits = self.clauses[clause].lits.clone();
-            for q in clause_lits {
+            let Clause { start, end, .. } = self.clauses[clause];
+            for k in start..end {
+                let q = self.arena[k];
                 if Some(q) == lit {
                     continue;
                 }
                 let v = q.var();
-                if seen[v.index()] || self.level[v.index()] == 0 {
+                if self.seen[v.index()] || self.level[v.index()] == 0 {
                     continue;
                 }
-                seen[v.index()] = true;
+                self.seen[v.index()] = true;
                 self.bump_var(v);
                 if self.level[v.index()] == current_level {
                     counter += 1;
@@ -313,19 +448,24 @@ impl Solver {
             loop {
                 index -= 1;
                 let l = self.trail[index];
-                if seen[l.var().index()] {
+                if self.seen[l.var().index()] {
                     lit = Some(l);
                     break;
                 }
             }
             let l = lit.expect("found a literal of the current level");
-            seen[l.var().index()] = false;
+            self.seen[l.var().index()] = false;
             counter -= 1;
             if counter == 0 {
-                learnt.insert(0, !l);
+                learnt[0] = !l;
                 break;
             }
             clause = self.reason[l.var().index()].expect("non-decision literal has a reason");
+        }
+        // Every current-level mark was cleared on the trail walk; the rest
+        // are exactly the learnt clause's other literals.
+        for l in &learnt[1..] {
+            self.seen[l.var().index()] = false;
         }
 
         let backtrack_level = if learnt.len() == 1 {
@@ -353,21 +493,21 @@ impl Solver {
                 let v = l.var().index();
                 self.assign[v] = UNASSIGNED;
                 self.reason[v] = None;
+                self.order.insert(v, &self.activity);
             }
         }
         self.qhead = self.trail.len();
     }
 
-    fn pick_branch_var(&self) -> Option<Var> {
-        let mut best: Option<Var> = None;
-        let mut best_act = -1.0;
-        for i in 0..self.num_vars() {
-            if self.assign[i] == UNASSIGNED && self.activity[i] > best_act {
-                best_act = self.activity[i];
-                best = Some(Var(i as u32));
+    /// The unassigned variable with the highest activity, lowest index on
+    /// ties (see the module docs).
+    fn pick_branch_var(&mut self) -> Option<Var> {
+        while let Some(v) = self.order.pop(&self.activity) {
+            if self.assign[v] == UNASSIGNED {
+                return Some(Var(v as u32));
             }
         }
-        best
+        None
     }
 
     /// Solves the current clause database under the given assumptions.
@@ -391,17 +531,11 @@ impl Solver {
                     self.unsat = true;
                     return SolveResult::Unsat;
                 }
-                // If the conflict is below or at the assumption levels we must
-                // check whether it depends only on assumptions.
+                // Backjumping below an assumption level is fine: the
+                // assumptions are re-established as the first decisions
+                // further down.
                 let (learnt, backtrack_level) = self.analyze(conflict);
-                if (backtrack_level as usize) < assumptions.len().min(self.trail_lim.len()) {
-                    // The learnt clause asserts a literal below an assumption
-                    // decision; backtrack there, then re-establish assumptions
-                    // in the outer loop below by restarting the search.
-                    self.backtrack_to(backtrack_level);
-                } else {
-                    self.backtrack_to(backtrack_level);
-                }
+                self.backtrack_to(backtrack_level);
                 let asserting = learnt[0];
                 if learnt.len() == 1 {
                     if self.value(asserting) == 0 {
@@ -412,7 +546,7 @@ impl Solver {
                         self.enqueue(asserting, None);
                     }
                 } else {
-                    let cref = self.attach_clause(learnt, true);
+                    let cref = self.attach_clause(&learnt, true);
                     self.enqueue(asserting, Some(cref));
                 }
                 self.var_inc *= 1.05;

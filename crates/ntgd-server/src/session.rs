@@ -1283,6 +1283,24 @@ mod tests {
     }
 
     #[test]
+    fn models_max_zero_lists_no_model_in_either_mode() {
+        let mut session = Session::new(SessionConfig::default());
+        session.execute("LOAD p(X), not q(X) -> r(X). p(a).");
+        for (request, terminator) in [
+            ("MODELS sms max=0", "OK models=0 mode=sms"),
+            ("MODELS lp max=0", "OK models=0 mode=lp"),
+        ] {
+            let response = session.execute(request);
+            assert_eq!(response.lines, vec![terminator.to_owned()], "{request}");
+        }
+        // The cap is per request: an uncapped listing still finds the model.
+        assert_eq!(
+            session.execute("MODELS sms").terminator(),
+            Some("OK models=1 mode=sms")
+        );
+    }
+
+    #[test]
     fn lp_models_agree_with_sms_on_normal_programs() {
         let mut session = Session::new(SessionConfig::default());
         session.execute("LOAD p(X), not q(X) -> r(X). p(a).");

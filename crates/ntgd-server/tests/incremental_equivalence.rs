@@ -13,10 +13,16 @@
 //!   fallback).
 //! * **Retract equivalence** — rolling an epoch back and growing again is
 //!   indistinguishable from never having asserted the retracted batch.
+//! * **Capped-`MODELS` transcript pin** — a seeded disjunctive stream of
+//!   `ASSERT` / `RETRACT-TO` / `MODELS sms max=4` replies byte for byte as
+//!   recorded.  Capped listings are samples chosen by the CEGAR search order,
+//!   so the pin holds the search itself fixed, not just the model sets.  It
+//!   runs in a fresh process (see the test).
 //!
 //! Every case is reproducible from its printed seed.
 
 use ntgd_core::{parallel, Atom};
+use ntgd_loadgen::{generate, Distribution, Family, Verb, WorkloadSpec};
 use ntgd_server::{Session, SessionConfig};
 
 /// Deterministic xorshift64* generator.
@@ -279,5 +285,85 @@ fn stable_model_sets_are_split_invariant() {
                 ),
             }
         }
+    }
+}
+
+/// 64-bit FNV-1a over every reply line of a session, newline-terminated.
+fn transcript_hash(spec: &WorkloadSpec) -> (u64, usize) {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut capped = 0;
+    let mut session = Session::new(SessionConfig::default());
+    for op in &generate(spec).sessions[0] {
+        let response = session.execute(&op.line);
+        assert!(response.is_ok(), "{} failed: {:?}", op.line, response.lines);
+        if op.verb == Verb::Models
+            && response
+                .lines
+                .last()
+                .is_some_and(|l| l.contains("models=4"))
+        {
+            capped += 1;
+        }
+        for line in &response.lines {
+            for byte in line.bytes().chain([b'\n']) {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    (hash, capped)
+}
+
+/// The search order follows ground atom ids, and those follow the
+/// process-wide symbol interning order — which the other tests of this
+/// binary perturb, interning `c0`, `X`, … concurrently.  So unless this
+/// process runs this test alone, the test reruns this binary filtered to
+/// exactly itself.
+#[test]
+fn capped_models_transcripts_are_pinned() {
+    const NAME: &str = "capped_models_transcripts_are_pinned";
+    let args: Vec<String> = std::env::args().collect();
+    if !(args.iter().any(|a| a == "--exact") && args.iter().any(|a| a == NAME)) {
+        let exe = std::env::current_exe().expect("test binary path");
+        let run = std::process::Command::new(exe)
+            .args([NAME, "--exact", "--test-threads=1"])
+            .output()
+            .expect("rerun the test binary");
+        assert!(
+            run.status.success(),
+            "{}{}",
+            String::from_utf8_lossy(&run.stdout),
+            String::from_utf8_lossy(&run.stderr)
+        );
+        return;
+    }
+    let pinned = [
+        (1u64, 0xc2a8_7495_8a14_cffdu64),
+        (7919, 0x3140_4d7d_01ce_efdc),
+    ];
+    for (seed, expected) in pinned {
+        let spec = WorkloadSpec {
+            name: "capped-models".to_owned(),
+            family: Family::Disjunctive,
+            depth: 2,
+            constants: 24,
+            initial_facts: 8,
+            distribution: Distribution::Zipf,
+            sessions: 1,
+            ops: 160,
+            batch: 1,
+            retract_rate: 0.15,
+            query_rate: 0.0,
+            models_rate: 0.4,
+            models_max: 4,
+            seed,
+            ..WorkloadSpec::default()
+        };
+        let (hash, capped) = transcript_hash(&spec);
+        assert!(capped > 0, "seed {seed}: no MODELS reply hit the cap");
+        assert_eq!(
+            hash, expected,
+            "seed {seed}: capped MODELS transcript changed (got {hash:#x})"
+        );
     }
 }

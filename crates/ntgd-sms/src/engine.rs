@@ -2,7 +2,7 @@
 //! (the guess-and-check algorithm of Section 5.3, made practical with a SAT
 //! back-end).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -10,10 +10,10 @@ use ntgd_core::{
     obs, parallel, Atom, CompiledConjunction, Database, DisjunctiveProgram, Interpretation,
     Program, Query, Substitution, Term,
 };
-use ntgd_sat::{CnfBuilder, Lit};
+use ntgd_sat::{CnfBuilder, Lit, SolveResult};
 
 use crate::grounding::{ground_sms, GroundSmsProgram, GroundingError, GroundingLimits};
-use crate::stability::find_instability_witness;
+use crate::stability::{find_instability_witness, AtomSet, GroundIndex};
 use crate::universe::{build_domain, NullBudget};
 
 /// One tick per CEGAR guess-and-check pass: how many candidate batches a
@@ -328,49 +328,46 @@ impl SmsEngine {
             ..Default::default()
         };
 
-        let mut builder = CnfBuilder::new();
-        let mut var_of: HashMap<usize, Lit> = HashMap::new();
-        let mut pt_ids: Vec<usize> = Vec::new();
-        for (id, _) in ground.atoms.iter() {
-            if ground.possibly_true[id] {
-                var_of.insert(id, builder.new_var().positive());
-                pt_ids.push(id);
-            }
+        if max_models == 0 {
+            return Ok((Vec::new(), stats));
         }
-        // Cache of "term occurs in the domain of the candidate" literals.
-        let mut in_dom_cache: HashMap<Term, Lit> = HashMap::new();
+
+        let index = GroundIndex::new(ground);
+        let atom_count = ground.atoms.len();
+        let mut builder = CnfBuilder::new();
+        let mut var_of: Vec<Option<Lit>> = vec![None; atom_count];
+        for &id in &index.possibly_true {
+            var_of[id] = Some(builder.new_var().positive());
+        }
+        let lit = |id: usize| var_of[id].expect("a possibly-true atom");
+        // "Term occurs in the domain of the candidate" literals, created on
+        // first use.
+        let mut in_dom_lits: HashMap<Term, Lit> = HashMap::new();
         let mut in_dom = |builder: &mut CnfBuilder, term: &Term| -> Lit {
-            if let Some(l) = in_dom_cache.get(term) {
-                return *l;
-            }
-            let containing: Vec<Lit> = pt_ids
-                .iter()
-                .filter(|&&id| ground.atoms.atom(id).terms().any(|t| t == term))
-                .map(|id| var_of[id])
-                .collect();
-            let lit = builder.or_lit(&containing);
-            in_dom_cache.insert(*term, lit);
-            lit
+            *in_dom_lits.entry(*term).or_insert_with(|| {
+                let containing: Vec<Lit> =
+                    index.atoms_with(term).iter().map(|&id| lit(id)).collect();
+                builder.or_lit(&containing)
+            })
         };
 
         // D ⊆ I.
         for &f in &ground.facts {
-            builder.force(var_of[&f]);
+            builder.force(lit(f));
         }
         // I ⊨ Σ (grounded).
+        let mut antecedent: Vec<Lit> = Vec::new();
         for rule in &ground.rules {
-            let mut antecedent: Vec<Lit> = Vec::new();
-            for &id in &rule.body_pos {
-                antecedent.push(var_of[&id]);
-            }
+            antecedent.clear();
+            antecedent.extend(rule.body_pos.iter().map(|&id| lit(id)));
+            // A negated atom outside the possibly-true closure is always
+            // false: the literal is satisfied, nothing to add.
+            antecedent.extend(
+                rule.body_neg
+                    .iter()
+                    .filter_map(|&id| var_of[id].map(|l| !l)),
+            );
             let mut impossible = false;
-            for &id in &rule.body_neg {
-                // A negated atom outside the possibly-true closure is always
-                // false: the literal is satisfied, nothing to add.
-                if let Some(&lit) = var_of.get(&id) {
-                    antecedent.push(!lit);
-                }
-            }
             for t in &rule.neg_domain_terms {
                 if t.is_constant() || t.is_null() {
                     antecedent.push(in_dom(&mut builder, t));
@@ -381,17 +378,11 @@ impl SmsEngine {
             if impossible {
                 continue;
             }
-            let disjuncts: Vec<Vec<Lit>> = rule
-                .disjuncts
-                .iter()
-                .map(|conj| conj.iter().map(|id| var_of[id]).collect())
-                .collect();
-            if disjuncts.is_empty() {
-                let clause: Vec<Lit> = antecedent.iter().map(|&l| !l).collect();
-                builder.clause(&clause);
-            } else {
-                builder.rule(&antecedent, &disjuncts);
-            }
+            let disjuncts = rule.disjuncts.iter();
+            builder.rule(
+                &antecedent,
+                disjuncts.map(|disjunct| disjunct.iter().map(|&id| lit(id))),
+            );
         }
         // Query constraint.
         match &mode {
@@ -403,14 +394,14 @@ impl SmsEngine {
                     // outside the domain.
                     let mut clause: Vec<Lit> = Vec::new();
                     let mut always_violated = false;
-                    for id in &instance.positive {
-                        match var_of.get(id) {
-                            Some(&lit) => clause.push(!lit),
+                    for &id in &instance.positive {
+                        match var_of[id] {
+                            Some(lit) => clause.push(!lit),
                             None => always_violated = true,
                         }
                     }
-                    for id in &instance.negative {
-                        if let Some(&lit) = var_of.get(id) {
+                    for &id in &instance.negative {
+                        if let Some(lit) = var_of[id] {
                             clause.push(lit);
                         }
                     }
@@ -427,14 +418,14 @@ impl SmsEngine {
                 for instance in query_instances(q, ground) {
                     let mut conj: Vec<Lit> = Vec::new();
                     let mut impossible = false;
-                    for id in &instance.positive {
-                        match var_of.get(id) {
-                            Some(&lit) => conj.push(lit),
+                    for &id in &instance.positive {
+                        match var_of[id] {
+                            Some(lit) => conj.push(lit),
                             None => impossible = true,
                         }
                     }
-                    for id in &instance.negative {
-                        if let Some(&lit) = var_of.get(id) {
+                    for &id in &instance.negative {
+                        if let Some(lit) = var_of[id] {
                             conj.push(!lit);
                         }
                     }
@@ -467,6 +458,8 @@ impl SmsEngine {
         // bit-identical at every thread count.
         let mut models: Vec<Interpretation> = Vec::new();
         let mut exhausted = false;
+        // Clause scratch, reused by every candidate and refinement.
+        let (mut blocking, mut outside, mut blockers) = (Vec::new(), Vec::new(), Vec::new());
         'search: while !exhausted {
             SMS_CEGAR_ITERATIONS.incr();
             let _iteration = obs::span("sms.cegar_iteration");
@@ -476,36 +469,30 @@ impl SmsEngine {
             // progress and makes the batch candidates distinct; witness
             // refinements are deferred to the processing pass below.
             let remaining = max_models - models.len();
-            let batch_target = CANDIDATE_BATCH.min(remaining.max(1));
-            let mut batch: Vec<(Vec<bool>, HashSet<usize>)> = Vec::new();
+            let batch_target = CANDIDATE_BATCH.min(remaining);
+            let mut batch: Vec<AtomSet> = Vec::new();
             while batch.len() < batch_target {
                 if stats.candidates >= self.options.max_candidates {
                     return Err(SmsError::CandidateLimit);
                 }
-                let result = builder.solve_unconstrained();
-                let Some(assignment) = result.model().map(<[bool]>::to_vec) else {
+                let SolveResult::Sat(assignment) = builder.solve_unconstrained() else {
                     exhausted = true;
                     break;
                 };
                 stats.candidates += 1;
-                let candidate: HashSet<usize> = pt_ids
-                    .iter()
-                    .copied()
-                    .filter(|id| assignment[var_of[id].var().index()])
-                    .collect();
-                let blocking: Vec<Lit> = pt_ids
-                    .iter()
-                    .map(|id| {
-                        let lit = var_of[id];
-                        if assignment[lit.var().index()] {
-                            !lit
-                        } else {
-                            lit
-                        }
-                    })
-                    .collect();
+                let mut candidate: Vec<usize> = Vec::new();
+                blocking.clear();
+                for &id in &index.possibly_true {
+                    let l = lit(id);
+                    if assignment[l.var().index()] {
+                        candidate.push(id);
+                        blocking.push(!l);
+                    } else {
+                        blocking.push(l);
+                    }
+                }
                 builder.clause(&blocking);
-                batch.push((assignment, candidate));
+                batch.push(AtomSet::from_sorted(candidate, atom_count));
             }
             if batch.is_empty() {
                 break;
@@ -516,15 +503,18 @@ impl SmsEngine {
             // check inline); the batch *composition* above is not, so the
             // candidate sequence never depends on the gate.
             let check_threads = parallel::threads_for(stats.ground_atoms);
-            let witnesses = parallel::par_map_with(&batch, check_threads, |_, (_, candidate)| {
-                find_instability_witness(ground, candidate)
+            let witnesses = parallel::par_map_with(&batch, check_threads, |_, candidate| {
+                find_instability_witness(ground, &index, candidate)
             });
-            for ((_, candidate), witness) in batch.iter().zip(witnesses) {
+            for (candidate, witness) in batch.iter().zip(witnesses) {
                 match witness {
                     None => {
                         stats.stable += 1;
                         let mut interpretation = Interpretation::from_atoms(
-                            candidate.iter().map(|&id| ground.atoms.atom(id).clone()),
+                            candidate
+                                .ids()
+                                .iter()
+                                .map(|&id| ground.atoms.atom(id).clone()),
                         );
                         // Candidates are interpretations over the *candidate
                         // universe*, not merely over the terms of their true
@@ -548,45 +538,36 @@ impl SmsEngine {
                         // satisfy is blocked (some negated atom true, or a
                         // negated-only term outside the domain) is refuted by
                         // the same witness, so it can be excluded wholesale.
-                        let mut refinement: Vec<Lit> = Vec::new();
-                        let ordered_witness: Vec<usize> = {
-                            let mut ids: Vec<usize> = witness.iter().copied().collect();
-                            ids.sort_unstable();
-                            ids
-                        };
-                        for &id in &ordered_witness {
-                            refinement.push(var_of[&id]);
-                        }
-                        let outside: Vec<Lit> = pt_ids
-                            .iter()
-                            .filter(|id| !witness.contains(id))
-                            .map(|id| var_of[id])
-                            .collect();
+                        let mut refinement: Vec<Lit> =
+                            witness.ids().iter().map(|&id| lit(id)).collect();
+                        outside.clear();
+                        outside.extend(
+                            index
+                                .possibly_true
+                                .iter()
+                                .filter(|&&id| !witness.contains(id))
+                                .map(|&id| lit(id)),
+                        );
                         let proper = builder.or_lit(&outside);
                         refinement.push(proper);
                         let mut refinement_applicable = true;
                         for rule in &ground.rules {
-                            if !rule.body_pos.iter().all(|id| witness.contains(id)) {
+                            if !rule.body_pos.iter().all(|&id| witness.contains(id)) {
                                 continue;
                             }
                             let satisfied = rule
                                 .disjuncts
                                 .iter()
-                                .any(|conj| conj.iter().all(|id| witness.contains(id)));
+                                .any(|conj| conj.iter().all(|&id| witness.contains(id)));
                             if satisfied {
                                 continue;
                             }
                             // The instance must be blocked in M′ for the
                             // witness to refute it.
-                            let mut blockers: Vec<Lit> = Vec::new();
-                            for id in &rule.body_neg {
-                                if let Some(&lit) = var_of.get(id) {
-                                    blockers.push(lit);
-                                }
-                            }
+                            blockers.clear();
+                            blockers.extend(rule.body_neg.iter().filter_map(|&id| var_of[id]));
                             for t in &rule.neg_domain_terms {
-                                let lit = in_dom(&mut builder, t);
-                                blockers.push(!lit);
+                                blockers.push(!in_dom(&mut builder, t));
                             }
                             if blockers.is_empty() {
                                 refinement_applicable = false;

@@ -8,15 +8,21 @@
 //!
 //! The check is coNP (`W-Stability` in the paper); we delegate the
 //! complementary search for such a `J` to the CDCL SAT solver.
+//!
+//! Candidates and witnesses are [`AtomSet`]s: ascending atom ids plus a
+//! membership mask over the grounding's atom table.  The per-grounding
+//! lookups a check needs (which atoms are facts, which possibly-true atoms
+//! mention a term) live in a [`GroundIndex`] that a CEGAR search builds once
+//! and shares with all of its checks.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 
 use ntgd_core::{
     parallel, CompiledDisjunctiveRuleSet, Database, DisjunctiveProgram, Interpretation, Program,
     Substitution, Term,
 };
-use ntgd_sat::{CnfBuilder, Lit};
+use ntgd_sat::{CnfBuilder, Lit, SolveResult};
 
 use crate::grounding::{ground_sms, GroundSmsProgram, GroundingLimits};
 use crate::universe::Domain;
@@ -72,110 +78,174 @@ pub fn is_classical_model(
     !violations.into_iter().any(|violated| violated)
 }
 
+/// A set of ground atoms of one grounding: its ids in ascending order plus a
+/// membership mask over the grounding's atom table.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AtomSet {
+    ids: Vec<usize>,
+    mask: Vec<bool>,
+}
+
+impl AtomSet {
+    /// The set of `ids` (ascending, distinct) over an atom table of
+    /// `table_len` atoms.
+    pub fn from_sorted(ids: Vec<usize>, table_len: usize) -> AtomSet {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
+        let mut mask = vec![false; table_len];
+        for &id in &ids {
+            mask[id] = true;
+        }
+        AtomSet { ids, mask }
+    }
+
+    /// Whether the atom `id` belongs to the set.
+    pub fn contains(&self, id: usize) -> bool {
+        self.mask[id]
+    }
+
+    /// The member ids, ascending.
+    pub fn ids(&self) -> &[usize] {
+        &self.ids
+    }
+}
+
+/// Lookup tables over one grounding, built once per CEGAR search and shared
+/// (read-only) by the generator encoding and every stability check.
+#[derive(Clone, Debug)]
+pub struct GroundIndex {
+    /// The possibly-true atom ids, ascending.
+    pub(crate) possibly_true: Vec<usize>,
+    /// `is_fact[id]`: the atom is a database fact.
+    pub(crate) is_fact: Vec<bool>,
+    /// For each term, the possibly-true atoms it occurs in (ascending).
+    term_atoms: HashMap<Term, Vec<usize>>,
+}
+
+impl GroundIndex {
+    /// Indexes `ground`.
+    pub fn new(ground: &GroundSmsProgram) -> GroundIndex {
+        let mut is_fact = vec![false; ground.atoms.len()];
+        for &f in &ground.facts {
+            is_fact[f] = true;
+        }
+        let possibly_true: Vec<usize> = (0..ground.atoms.len())
+            .filter(|&id| ground.possibly_true[id])
+            .collect();
+        let mut term_atoms: HashMap<Term, Vec<usize>> = HashMap::new();
+        for &id in &possibly_true {
+            for term in ground.atoms.atom(id).terms() {
+                let atoms = term_atoms.entry(*term).or_default();
+                if atoms.last() != Some(&id) {
+                    atoms.push(id);
+                }
+            }
+        }
+        GroundIndex {
+            possibly_true,
+            is_fact,
+            term_atoms,
+        }
+    }
+
+    /// The possibly-true atoms `term` occurs in, ascending.
+    pub(crate) fn atoms_with(&self, term: &Term) -> &[usize] {
+        self.term_atoms.get(term).map_or(&[], Vec::as_slice)
+    }
+}
+
 /// Checks stability of a candidate given an already-grounded program.
 ///
-/// `candidate` is the set of atom identifiers forming `M⁺`; it must be a
-/// subset of the possibly-true atoms of the grounding.
-pub fn is_stable_ground(ground: &GroundSmsProgram, candidate: &HashSet<usize>) -> bool {
-    find_instability_witness(ground, candidate).is_none()
+/// `candidate` is `M⁺`; it must be a subset of the possibly-true atoms of
+/// the grounding.
+pub fn is_stable_ground(ground: &GroundSmsProgram, candidate: &AtomSet) -> bool {
+    find_instability_witness(ground, &GroundIndex::new(ground), candidate).is_none()
 }
 
 /// Searches for an *instability witness*: a proper subset `J ⊊ M⁺` containing
 /// the database that satisfies every rule when negative literals are read
 /// over `M` (the `∃s` of the stability subformula).  Returns `None` when the
 /// candidate is stable.
+///
+/// `candidate` is `M⁺` (a subset of the possibly-true atoms) and `index` the
+/// [`GroundIndex`] of `ground`.  SAT variables are created in ascending atom
+/// id order and clauses are emitted in rule order, so concurrently running
+/// checks — and reruns at different thread counts — build identical CNFs and
+/// find identical witnesses.
 pub fn find_instability_witness(
     ground: &GroundSmsProgram,
-    candidate: &HashSet<usize>,
-) -> Option<HashSet<usize>> {
-    let facts: HashSet<usize> = ground.facts.iter().copied().collect();
-    // Candidate atoms in ascending id order: SAT variables are assigned (and
-    // clauses emitted) in a deterministic order, so concurrently running
-    // stability checks — and reruns at different thread counts — construct
-    // identical CNFs and find identical witnesses.
-    let ordered: Vec<usize> = {
-        let mut ids: Vec<usize> = candidate.iter().copied().collect();
-        ids.sort_unstable();
-        ids
-    };
-    // dom(M): every term occurring in a candidate atom.
-    let mut domain_of_m: BTreeSet<Term> = BTreeSet::new();
-    for &id in &ordered {
-        domain_of_m.extend(ground.atoms.atom(id).terms().copied());
+    index: &GroundIndex,
+    candidate: &AtomSet,
+) -> Option<AtomSet> {
+    // (s < p) needs a non-database atom of M to drop.  If there is none,
+    // M = D has no proper subset containing D, so M is stable (provided it
+    // is a model, which callers check separately).
+    if candidate.ids().iter().all(|&id| index.is_fact[id]) {
+        return None;
     }
-
     let mut builder = CnfBuilder::new();
-    let mut var_of: HashMap<usize, Lit> = HashMap::new();
-    for &id in &ordered {
-        var_of.insert(id, builder.new_var().positive());
+    let mut var_of: Vec<Option<Lit>> = vec![None; ground.atoms.len()];
+    for &id in candidate.ids() {
+        var_of[id] = Some(builder.new_var().positive());
     }
+    let lit = |id: usize| var_of[id].expect("a candidate atom");
     // τ(D): the database is contained in J.
     for &f in &ground.facts {
-        if let Some(&lit) = var_of.get(&f) {
-            builder.force(lit);
+        if let Some(l) = var_of[f] {
+            builder.force(l);
         }
     }
     // (s < p): at least one non-database atom of M is missing from J.
-    let strict: Vec<Lit> = ordered
+    let strict: Vec<Lit> = candidate
+        .ids()
         .iter()
-        .filter(|id| !facts.contains(id))
-        .map(|id| !var_of[id])
+        .filter(|&&id| !index.is_fact[id])
+        .map(|&id| !lit(id))
         .collect();
-    if strict.is_empty() {
-        // M = D: no proper subset containing D exists, so M is stable
-        // (provided it is a model, which callers check separately).
-        return None;
-    }
     builder.clause(&strict);
 
     // τ(Σ): every rule instance that *fires with respect to M's negative
     // information* must be satisfied by J.
+    let mut body: Vec<Lit> = Vec::new();
     for rule in &ground.rules {
         // The instance is relevant only if its positive body can lie in J ⊆ M.
-        if !rule.body_pos.iter().all(|id| candidate.contains(id)) {
+        if !rule.body_pos.iter().all(|&id| candidate.contains(id)) {
             continue;
         }
         // Negative literals are evaluated over M (original predicates).
-        if rule.body_neg.iter().any(|id| candidate.contains(id)) {
+        if rule.body_neg.iter().any(|&id| candidate.contains(id)) {
             continue;
         }
         // Constants occurring only negatively must lie in dom(M).
-        if !rule
-            .neg_domain_terms
-            .iter()
-            .all(|t| domain_of_m.contains(t))
-        {
+        let in_dom_m = |t: &Term| index.atoms_with(t).iter().any(|&id| candidate.contains(id));
+        if !rule.neg_domain_terms.iter().all(in_dom_m) {
             continue;
         }
-        let body: Vec<Lit> = rule.body_pos.iter().map(|id| var_of[id]).collect();
+        body.clear();
+        body.extend(rule.body_pos.iter().map(|&id| lit(id)));
         // Existential witnesses range over dom(M): only disjuncts entirely
         // inside M can be used by J.
-        let disjuncts: Vec<Vec<Lit>> = rule
+        let inside = rule
             .disjuncts
             .iter()
-            .filter(|conj| conj.iter().all(|id| candidate.contains(id)))
-            .map(|conj| conj.iter().map(|id| var_of[id]).collect())
-            .collect();
-        if disjuncts.is_empty() {
-            // The body must not be fully contained in J.
-            let clause: Vec<Lit> = body.iter().map(|&l| !l).collect();
-            builder.clause(&clause);
-        } else {
-            builder.rule(&body, &disjuncts);
-        }
+            .filter(|disjunct| disjunct.iter().all(|&id| candidate.contains(id)));
+        builder.rule(
+            &body,
+            inside.map(|disjunct| disjunct.iter().map(|&id| lit(id))),
+        );
     }
 
     // M is stable iff no such J exists.
     match builder.solve_unconstrained() {
-        ntgd_sat::SolveResult::Sat(model) => {
-            let witness: HashSet<usize> = ordered
+        SolveResult::Sat(model) => {
+            let witness: Vec<usize> = candidate
+                .ids()
                 .iter()
                 .copied()
-                .filter(|id| model[var_of[id].var().index()])
+                .filter(|&id| model[lit(id).var().index()])
                 .collect();
-            Some(witness)
+            Some(AtomSet::from_sorted(witness, ground.atoms.len()))
         }
-        ntgd_sat::SolveResult::Unsat => None,
+        SolveResult::Unsat => None,
     }
 }
 
@@ -210,19 +280,21 @@ pub fn is_stable_model_disjunctive(
     let Ok(ground) = ground_sms(database, program, &domain, &GroundingLimits::default()) else {
         return false;
     };
-    let mut candidate: HashSet<usize> = HashSet::new();
+    let mut candidate: Vec<usize> = Vec::new();
     for atom in interpretation.atoms() {
         match ground.atoms.id_of(atom) {
-            Some(id) if ground.possibly_true[id] => {
-                candidate.insert(id);
-            }
+            Some(id) if ground.possibly_true[id] => candidate.push(id),
             // An atom that is not even possibly true (not derivable ignoring
             // negation) cannot belong to a stable model — dropping it yields a
             // smaller model of the reduct (Lemma 7).
             _ => return false,
         }
     }
-    is_stable_ground(&ground, &candidate)
+    candidate.sort_unstable();
+    is_stable_ground(
+        &ground,
+        &AtomSet::from_sorted(candidate, ground.atoms.len()),
+    )
 }
 
 #[cfg(test)]
