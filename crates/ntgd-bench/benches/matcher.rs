@@ -207,7 +207,7 @@ fn run_delta_rounds(cached: bool, base: &Interpretation, extra: &[Atom], body: &
 /// The parallel-scaling workload: a multi-rule join program over a sparse
 /// random graph, plus a watermark selecting a sizable delta suffix — the
 /// shape of one semi-naive chase round whose `(rule, pivot)` work items the
-/// scoped worker pool distributes.
+/// persistent worker pool distributes.
 fn parallel_scaling_workload() -> (ntgd_core::Program, Interpretation, usize) {
     let program = ntgd_parser::parse_program(
         "e(X, Y), e(Y, Z) -> chain2(X, Z).\
@@ -427,68 +427,10 @@ fn main() {
         ));
     }
 
-    // Server throughput: a long-lived reasoning session fed a stream of
-    // small ASSERT deltas — the workload the persistent worker pool exists
-    // for.  Each delta is far below the scoped fallback's spawn-amortisation
-    // threshold (MIN_PARALLEL_WORK), so the scoped mode runs the rounds
-    // sequentially while the pool dispatches them to already-running
-    // workers.  On a single-core machine the two paths coincide (~1.0x); on
-    // an n-core machine the per-assert delta matching scales with n.
-    {
-        let program = "e(X, Y), e(Y, Z) -> chain2(X, Z).\
-             e(X, Y), e(Y, Z), e(Z, W) -> chain3(X, W).\
-             e(X, Y), e(X, Z) -> fanout(Y, Z).\
-             e(X, Y), e(Z, Y) -> fanin(X, Z).\
-             e(X, Y), e(Y, X) -> mutual(X).\
-             e(X, Y), e(Y, Z), e(Z, X) -> triangle(X).";
-        let mut rng = StdRng::seed_from_u64(0x6a06);
-        let batches: Vec<String> = (0..150)
-            .map(|_| {
-                let a = rng.gen_range(0..60);
-                let b = rng.gen_range(0..60);
-                format!("ASSERT e(v{a}, v{b}).")
-            })
-            .collect();
-        let run_stream = |pooled: bool| -> usize {
-            ntgd_core::parallel::set_pool_enabled(Some(pooled));
-            let mut session = ntgd_server::Session::new(ntgd_server::SessionConfig::default());
-            assert!(session.execute(&format!("LOAD {program}")).is_ok());
-            for batch in &batches {
-                assert!(session.execute(batch).is_ok());
-            }
-            let atoms = session.instance().expect("chased instance").len();
-            ntgd_core::parallel::set_pool_enabled(None);
-            atoms
-        };
-        let pooled_atoms = run_stream(true);
-        let scoped_atoms = run_stream(false);
-        assert_eq!(pooled_atoms, scoped_atoms, "pool changed session results");
-        criterion.bench_function("matcher/server_throughput/pooled", |b| {
-            b.iter(|| run_stream(true))
-        });
-        criterion.bench_function("matcher/server_throughput/scoped", |b| {
-            b.iter(|| run_stream(false))
-        });
-        let pooled = median_duration(20, || run_stream(true));
-        let scoped = median_duration(20, || run_stream(false));
-        let speedup = scoped.as_secs_f64() / pooled.as_secs_f64().max(f64::MIN_POSITIVE);
-        let asserts_per_sec = batches.len() as f64 / pooled.as_secs_f64().max(f64::MIN_POSITIVE);
-        println!(
-            "matcher/server_throughput: pooled {pooled:?}, scoped-spawn {scoped:?}, speedup {speedup:.1}x, {pooled_atoms} atoms, {asserts_per_sec:.0} asserts/s ({} workers)",
-            parallel::num_threads()
-        );
-        rows.push((
-            "server_throughput".to_owned(),
-            pooled.as_nanos(),
-            scoped.as_nanos(),
-            speedup,
-            pooled_atoms,
-        ));
-    }
-
-    // Observability overhead: the server_throughput ASSERT stream once with
-    // the obs registry and span timers recording (the default posture) and
-    // once with them forced off (the NTGD_OBS=0 posture).  The instruments
+    // Observability overhead: a long-lived reasoning session fed a stream
+    // of small ASSERT deltas, once with the obs registry and span timers
+    // recording (the default posture) and once with them forced off (the
+    // NTGD_OBS=0 posture).  The instruments
     // sit on every chase round, pool batch and request, so this stream is
     // exactly where their cost would show; the gate keeps the overhead
     // within noise (speedup ≈ 1.0, disabled time / instrumented time).

@@ -19,7 +19,7 @@ use crate::trigger::{apply_trigger, triggers_from_compiled};
 /// chase, the worklist is extended semi-naively: after an application only
 /// the triggers whose body uses a newly derived atom are discovered
 /// ([`triggers_from_compiled`], over rule plans compiled once per run;
-/// large rounds fan out over the scoped worker pool with a deterministic
+/// large rounds fan out over the persistent worker pool with a deterministic
 /// merge, so the applied-trigger sequence is thread-count independent).
 pub fn oblivious_chase(
     database: &Database,

@@ -34,7 +34,7 @@ type WitnessKey = (usize, Vec<(Term, Term)>);
 /// Like the restricted and oblivious variants, the worklist is extended
 /// semi-naively: after an application only the triggers whose body uses a
 /// newly derived atom are discovered ([`triggers_from_compiled`], over rule
-/// plans compiled once per run).  Large rounds fan out over the scoped
+/// plans compiled once per run).  Large rounds fan out over the persistent
 /// worker pool with a deterministic merge, so the memoised witnesses (and
 /// hence the null names) are identical at every thread count.
 pub fn skolem_chase(database: &Database, program: &Program, config: &ChaseConfig) -> ChaseResult {

@@ -103,14 +103,14 @@ pub fn triggers_from(
 /// rule is executed (never recompiled), and each resulting slot binding is
 /// materialised into the stored trigger homomorphism.
 ///
-/// When the round is large enough ([`parallel::MIN_PARALLEL_WORK`] instance
-/// or delta atoms) the enumeration is fanned out over the scoped worker pool
-/// as independent `(rule, delta-pivot)` work items, each matching against
-/// the read-only `instance` snapshot and emitting into a per-item buffer;
-/// the buffers are merged by rule index, then pivot, so the returned trigger
-/// sequence is **identical at every thread count** (and identical to the
-/// sequential enumeration) — chase worklists, and therefore null invention,
-/// stay deterministic.
+/// When the round is large enough ([`parallel::MIN_POOLED_WORK`] instance
+/// or delta atoms) the enumeration is fanned out over the persistent worker
+/// pool as independent `(rule, delta-pivot)` work items, each matching
+/// against the read-only `instance` snapshot and emitting into a per-item
+/// buffer; the buffers are merged by rule index, then pivot, so the returned
+/// trigger sequence is **identical at every thread count** (and identical to
+/// the sequential enumeration) — chase worklists, and therefore null
+/// invention, stay deterministic.
 ///
 /// `plans` must be built from the same program whose rule indices the
 /// triggers refer to.

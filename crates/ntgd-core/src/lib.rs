@@ -14,8 +14,8 @@
 //!   enumerates homomorphisms from conjunctions of literals into interpretations;
 //! * [`Ntgd`] / [`Ndtgd`] rules, [`Program`]s and their safety validation;
 //! * normal (Boolean) conjunctive queries ([`Query`]);
-//! * a deterministic scoped-thread [`parallel`] layer used by the chase,
-//!   grounding and stability fixpoints downstream;
+//! * a deterministic [`parallel`] layer (one persistent worker pool) used by
+//!   the chase, grounding and stability fixpoints downstream;
 //! * a zero-dependency observability layer ([`obs`]): process-wide
 //!   counters, gauges, log-bucketed histograms, RAII span timers and a
 //!   structured event log — write-only for the engine, so it never

@@ -12,12 +12,7 @@
 //!
 //! # The persistent pool
 //!
-//! Earlier revisions spawned scoped threads ([`std::thread::scope`]) for
-//! every parallel round.  That is correct but pays a thread-spawn per round,
-//! which forced tiny rounds — the dominant shape once a long-lived reasoning
-//! session asserts small deltas — to run sequentially (the old
-//! [`MIN_PARALLEL_WORK`] gate).  The pool replaces the per-round spawn with
-//! **long-lived workers** and a job queue:
+//! Every parallel round runs on **long-lived workers** fed by a job queue:
 //!
 //! * Workers are spawned lazily, on the first round that asks for them, and
 //!   then parked on a condition variable between rounds.  All sessions and
@@ -30,14 +25,7 @@
 //!   pool worker simply runs inline.
 //! * Each item index is claimed exactly once (an atomic fetch-add) and its
 //!   result is written into the slot of that index, so the output is in item
-//!   order regardless of the schedule — the same determinism contract as the
-//!   scoped implementation, with the merge sort replaced by direct slot
-//!   addressing.
-//!
-//! The scoped implementation survives behind [`set_pool_enabled`]`(Some
-//! (false))` (or `NTGD_POOL=0`) as a comparison baseline for benchmarks and
-//! as an operational safety valve; it keeps the historical
-//! [`MIN_PARALLEL_WORK`] gate because it pays a spawn per round.
+//!   order regardless of the schedule.
 //!
 //! # Sharding and determinism invariants
 //!
@@ -73,10 +61,7 @@
 //! the `NTGD_THREADS` environment variable (CI runs the test matrix at
 //! `NTGD_THREADS=1` and at default parallelism), and finally
 //! [`std::thread::available_parallelism`].  Callers gate rounds with
-//! [`threads_for`]: with the pool enabled a round fans out from
-//! [`MIN_POOLED_WORK`] work units (dispatching to already-running workers is
-//! cheap); with the scoped fallback the historical [`MIN_PARALLEL_WORK`]
-//! spawn-amortisation threshold applies.
+//! [`threads_for`]: a round fans out from [`MIN_POOLED_WORK`] work units.
 
 use std::cell::{Cell, UnsafeCell};
 use std::num::NonZeroUsize;
@@ -85,16 +70,10 @@ use std::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Minimum number of "work units" (delta atoms, closure atoms, …) a round
-/// must involve before the **scoped fallback** fans it out; below this a
-/// per-round thread spawn dominates any matching work.  The persistent pool
-/// is not subject to this gate (see [`MIN_POOLED_WORK`]).
-pub const MIN_PARALLEL_WORK: usize = 64;
-
-/// Minimum number of work units a round must involve before the persistent
-/// pool fans it out.  Dispatching to already-running workers costs one
-/// queue-push and a wake, so even small deltas — the bread and butter of an
-/// incremental reasoning session — go parallel; only degenerate rounds (a
-/// single work unit) stay inline.
+/// must involve before the persistent pool fans it out.  Dispatching to
+/// already-running workers costs one queue-push and a wake, so even small
+/// deltas — the bread and butter of an incremental reasoning session — go
+/// parallel; only degenerate rounds (a single work unit) stay inline.
 pub const MIN_POOLED_WORK: usize = 2;
 
 /// Hard cap on the number of pool workers ever spawned, as a guard against
@@ -103,10 +82,6 @@ const MAX_POOL_WORKERS: usize = 128;
 
 /// Process-wide thread-count override; `0` means "no override".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide pool mode: `0` = resolve from the environment (default on),
-/// `1` = forced on, `2` = forced off (scoped fallback).
-static POOL_MODE: AtomicUsize = AtomicUsize::new(0);
 
 /// Installs (or with `None` removes) a process-wide thread-count override
 /// taking precedence over `NTGD_THREADS` and the detected parallelism.
@@ -118,58 +93,14 @@ pub fn set_thread_override(threads: Option<usize>) {
     THREAD_OVERRIDE.store(threads.unwrap_or(0), Ordering::Relaxed);
 }
 
-/// Forces the persistent pool on (`Some(true)`), off (`Some(false)`, scoped
-/// fallback), or back to the environment default (`None`: on unless
-/// `NTGD_POOL` is `0`/`off`/`scoped`).
-///
-/// The results of every consumer are identical in both modes; the switch
-/// exists for benchmarks comparing dispatch cost and as a safety valve.
-pub fn set_pool_enabled(enabled: Option<bool>) {
-    let mode = match enabled {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    POOL_MODE.store(mode, Ordering::Relaxed);
-}
-
-/// Returns `true` if parallel rounds dispatch to the persistent worker pool
-/// (the default), `false` if they fall back to per-round scoped threads.
-///
-/// This sits on the hot path of every round's gating, so the `NTGD_POOL`
-/// environment lookup is resolved once per process (unlike `NTGD_THREADS`,
-/// which stays dynamic for the CI matrix, the pool choice never changes
-/// results — only dispatch — and runtime switching goes through
-/// [`set_pool_enabled`]).
-pub fn pool_enabled() -> bool {
-    static ENV_DEFAULT: OnceLock<bool> = OnceLock::new();
-    match POOL_MODE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => *ENV_DEFAULT.get_or_init(|| {
-            !matches!(
-                std::env::var("NTGD_POOL").as_deref(),
-                Ok("0") | Ok("off") | Ok("scoped")
-            )
-        }),
-    }
-}
-
 /// The worker count a round with `work` work units should fan out to: `1`
-/// (run inline) below the mode's threshold ([`MIN_POOLED_WORK`] for the
-/// pool, [`MIN_PARALLEL_WORK`] for the scoped fallback), [`num_threads`]
-/// otherwise.
+/// (run inline) below [`MIN_POOLED_WORK`], [`num_threads`] otherwise.
 ///
 /// This is the shared gating policy of every parallel consumer — chase
 /// trigger discovery, the grounding closures, stability checks — so the
 /// heuristic lives in exactly one place.
 pub fn threads_for(work: usize) -> usize {
-    let threshold = if pool_enabled() {
-        MIN_POOLED_WORK
-    } else {
-        MIN_PARALLEL_WORK
-    };
-    if work >= threshold {
+    if work >= MIN_POOLED_WORK {
         num_threads()
     } else {
         1
@@ -254,11 +185,7 @@ where
     if threads <= 1 || IN_POOL_WORKER.get() {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    if pool_enabled() {
-        par_map_pooled(items, threads, &f)
-    } else {
-        par_map_scoped(items, threads, &f)
-    }
+    par_map_pooled(items, threads, &f)
 }
 
 /// A `Sync` view over one element of a `&mut [T]`, submittable through
@@ -302,45 +229,6 @@ where
         // `JobCore`), so this is the only reference to the element.
         f(index, unsafe { &mut *cell.0.get() })
     })
-}
-
-// ---------------------------------------------------------------------------
-// Scoped fallback (the pre-pool implementation, kept for comparison).
-// ---------------------------------------------------------------------------
-
-/// The historical scoped-thread implementation: spawn `threads` scoped
-/// workers for this one round, tag results with their item index and merge
-/// by index.
-fn par_map_scoped<T, R, F>(items: &[T], threads: usize, f: &F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let cursor = AtomicUsize::new(0);
-    let buffers: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(index) else {
-                            return out;
-                        };
-                        out.push((index, f(index, item)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"))
-            .collect()
-    });
-    let mut tagged: Vec<(usize, R)> = buffers.into_iter().flatten().collect();
-    tagged.sort_by_key(|(index, _)| *index);
-    tagged.into_iter().map(|(_, result)| result).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -611,8 +499,8 @@ where
 mod tests {
     use super::*;
 
-    /// Serialises the tests that flip the process-wide override / pool mode
-    /// so they do not observe each other's transient settings.
+    /// Serialises the tests that flip the process-wide thread override so
+    /// they do not observe each other's transient settings.
     fn settings_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock()
@@ -665,18 +553,6 @@ mod tests {
         });
         let expected: Vec<usize> = items.iter().map(|i| i * 2).collect();
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn pooled_and_scoped_modes_agree() {
-        let items: Vec<u64> = (0..300).collect();
-        let expected: Vec<u64> = items.iter().map(|i| i * i + 1).collect();
-        for threads in [2, 4, 8] {
-            let pooled = par_map_pooled(&items, threads, &|_, i: &u64| i * i + 1);
-            let scoped = par_map_scoped(&items, threads, &|_, i: &u64| i * i + 1);
-            assert_eq!(pooled, expected, "pooled, threads = {threads}");
-            assert_eq!(scoped, expected, "scoped, threads = {threads}");
-        }
     }
 
     #[test]
@@ -747,37 +623,12 @@ mod tests {
     }
 
     #[test]
-    fn threads_for_gates_by_mode() {
+    fn threads_for_fans_out_from_min_pooled_work() {
         let _guard = settings_lock();
         set_thread_override(Some(4));
-        set_pool_enabled(Some(true));
         assert_eq!(threads_for(0), 1);
-        assert_eq!(threads_for(1), 1);
-        assert_eq!(
-            threads_for(MIN_POOLED_WORK),
-            4,
-            "pooled: small deltas fan out"
-        );
-        assert_eq!(threads_for(MIN_PARALLEL_WORK), 4);
-        set_pool_enabled(Some(false));
-        assert_eq!(
-            threads_for(MIN_POOLED_WORK),
-            1,
-            "scoped: spawn not amortised"
-        );
-        assert_eq!(threads_for(MIN_PARALLEL_WORK - 1), 1);
-        assert_eq!(threads_for(MIN_PARALLEL_WORK), 4);
-        set_pool_enabled(None);
+        assert_eq!(threads_for(MIN_POOLED_WORK - 1), 1);
+        assert_eq!(threads_for(MIN_POOLED_WORK), 4, "small deltas fan out");
         set_thread_override(None);
-    }
-
-    #[test]
-    fn pool_mode_switch_is_observable() {
-        let _guard = settings_lock();
-        set_pool_enabled(Some(false));
-        assert!(!pool_enabled());
-        set_pool_enabled(Some(true));
-        assert!(pool_enabled());
-        set_pool_enabled(None);
     }
 }

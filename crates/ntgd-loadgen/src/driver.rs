@@ -346,6 +346,22 @@ fn server_verb_deltas(
         .collect()
 }
 
+/// Fetches the process-wide `STAT server_requests` counter from a server
+/// (opens a fresh session; the counter includes this very `STATS` request).
+pub fn fetch_server_requests(addr: &str) -> Option<u64> {
+    let mut client = Client::connect(addr).ok()?;
+    client.writer.write_all(b"STATS\n").ok()?;
+    loop {
+        let line = client.read_line().ok()?.to_owned();
+        if let Some(value) = line.strip_prefix("STAT server_requests=") {
+            return value.parse().ok();
+        }
+        if line.starts_with("OK") || line.starts_with("ERR") {
+            return None;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,21 +424,5 @@ mod tests {
             }]
         );
         assert!(server_verb_deltas(None, Some(before)).is_empty());
-    }
-}
-
-/// Fetches the process-wide `STAT server_requests` counter from a server
-/// (opens a fresh session; the counter includes this very `STATS` request).
-pub fn fetch_server_requests(addr: &str) -> Option<u64> {
-    let mut client = Client::connect(addr).ok()?;
-    client.writer.write_all(b"STATS\n").ok()?;
-    loop {
-        let line = client.read_line().ok()?.to_owned();
-        if let Some(value) = line.strip_prefix("STAT server_requests=") {
-            return value.parse().ok();
-        }
-        if line.starts_with("OK") || line.starts_with("ERR") {
-            return None;
-        }
     }
 }

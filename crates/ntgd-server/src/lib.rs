@@ -88,7 +88,7 @@
 //! serves the whole registry as Prometheus-style text; `STATS metrics`
 //! prints only the session-local per-verb request tallies, which are a
 //! pure function of the request history and therefore byte-stable across
-//! thread counts and pool modes (asserted like the other scopes).
+//! thread counts (asserted like the other scopes).
 //! `NTGD_OBS=0` disables the registry; `NTGD_LOG`/`NTGD_LOG_LEVEL` enable
 //! the structured JSON-lines event log; `NTGD_SLOW_MS` logs slow requests;
 //! `NTGD_SESSION_BUDGET` caps per-session cumulative execution time
@@ -133,12 +133,15 @@
 //! the `max` cap does not truncate the enumeration, the rendered answer is
 //! bit-identical to a from-scratch [`ntgd_sms::SmsEngine`] on the same live
 //! fact set (`tests/differential_oracle.rs` at the workspace root asserts
-//! this over randomised command streams, thread counts and pool modes).
+//! this over randomised command streams and thread counts).
 //! When the cap *does* truncate, both paths return `max` true stable models
 //! but may pick different ones — enumeration order follows the SAT search
 //! over the grounding, and the cached grounding orders its atoms by arrival
 //! (delta atoms appended) rather than by the fresh build's sorted intern —
 //! so capped listings are samples, not a canonical prefix, on either path.
+//! A capped sample can also differ between processes: symbols order by
+//! their process-wide intern id, so another session that interned the same
+//! constants first can change the sample.  Full listings are canonical.
 //! What invalidates what:
 //!
 //! * **`ASSERT` of facts over already-known constants** — the closure
@@ -159,8 +162,8 @@
 //! `sms_hits`, `sms_rollbacks` and `sms_invalidations`, plus the current
 //! `sms_closure_atoms`/`sms_ground_rules` sizes; `STATS sms` prints *only*
 //! those lines, which are a pure function of the request history — never of
-//! thread count, pool mode or machine — so scripted transcripts (CI's
-//! `server-smoke`) can assert them verbatim.
+//! thread count or machine — so scripted transcripts (CI's `server-smoke`)
+//! can assert them verbatim.
 //!
 //! To disable the cache for debugging set `NTGD_SMS_INCREMENTAL=0` (or
 //! construct the session with [`SessionConfig::incremental_models`] off):
@@ -199,7 +202,7 @@
 //!   prefix zero-copy, adopting the snapshot on the first extension.
 //!   Forking is symmetric — the first session forks its own frozen base —
 //!   so a forked session's transcript is bit-identical to a private
-//!   from-scratch session at every thread count and pool mode
+//!   from-scratch session at every thread count
 //!   (`tests/differential_oracle.rs` asserts this over randomised streams).
 //! * **Invalidation.**  Entries are immutable and never invalidated:
 //!   sessions only ever layer private overlays on top, and `LOAD` always

@@ -27,7 +27,7 @@ impl fmt::Display for ModelsMode {
 
 /// Which counters `STATS` prints.  The `sms`, `base` and `conn` scopes print
 /// only lines that are a pure function of the request/connection history —
-/// never of thread count, pool mode or machine — so transcripts can assert
+/// never of thread count or machine — so transcripts can assert
 /// them verbatim.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StatsScope {

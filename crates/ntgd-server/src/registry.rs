@@ -25,9 +25,9 @@
 //! arena per program.
 //!
 //! Per-entry counters (`hits`, `misses`, `rebuilds`, `forks`) are a pure
-//! function of the `LOAD` history for that key — never of thread count,
-//! pool mode or machine — so scripted transcripts can assert the `STATS
-//! base` lines verbatim.
+//! function of the `LOAD` history for that key — never of thread count
+//! or machine — so scripted transcripts can assert the `STATS base` lines
+//! verbatim.
 
 use std::collections::HashMap;
 use std::fmt;

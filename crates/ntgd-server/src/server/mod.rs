@@ -6,12 +6,12 @@
 //! drive a session without any I/O.  Two TCP transports exist, selected by
 //! [`SessionConfig::transport`] / `NTGD_TRANSPORT`:
 //!
-//! * **`evented`** (default, [`event_loop`]): a std-only readiness loop —
+//! * **`evented`** (default, `event_loop`): a std-only readiness loop —
 //!   non-blocking sockets, sharded poller threads, sessions as [`Conn`]
 //!   state machines whose ready batches execute on the persistent
 //!   `ntgd_core::parallel` pool.  One process holds thousands of live
 //!   sessions without one OS thread each.
-//! * **`threaded`** ([`threaded`]): the historical one-thread-per-connection
+//! * **`threaded`** (`threaded`): the historical one-thread-per-connection
 //!   path, kept for differential testing.
 //!
 //! Protocol semantics and per-session transcripts are **byte-identical**
@@ -19,7 +19,7 @@
 //! referee.  Both share the same admission control
 //! ([`SessionConfig::max_sessions`]: over the cap a connection gets one
 //! `ERR server at capacity` line and no banner), the same accept-error
-//! backoff policy ([`AcceptBackoff`]: transient errors retry immediately,
+//! backoff policy (`AcceptBackoff`: transient errors retry immediately,
 //! resource exhaustion like EMFILE backs off exponentially instead of
 //! spinning, sustained failure is fatal), and the same [`ConnStats`]
 //! counters served by `STATS conn`.
@@ -96,7 +96,7 @@ impl Transport {
 
 /// Connection-layer counters, one set per running server, reported by
 /// `STATS conn`.  Every counter is a pure function of the connection
-/// history (never of thread count, pool mode or machine), so scripted
+/// history (never of thread count or machine), so scripted
 /// connection sequences can assert the scope verbatim.
 #[derive(Debug)]
 pub struct ConnStats {

@@ -129,7 +129,7 @@ fn verb_histogram(verb: &'static str) -> &'static str {
 
 /// The session-local per-verb request tallies behind `STATS metrics`.
 /// Every field is a pure function of the session's request history —
-/// never of wall time, thread count or pool mode — so transcripts assert
+/// never of wall time or thread count — so transcripts assert
 /// the scope verbatim like `STATS sms`/`base`/`conn`.
 #[derive(Clone, Copy, Debug, Default)]
 struct RequestCounters {
@@ -408,7 +408,7 @@ impl Session {
     /// Parses and executes one protocol line.
     ///
     /// Request accounting wraps the dispatch: the session-local
-    /// [`RequestCounters`] count the request *before* it runs (so a `STATS
+    /// `RequestCounters` count the request *before* it runs (so a `STATS
     /// metrics` request counts itself), and wall time is recorded into the
     /// per-verb `server.request.<verb>` histogram afterwards.  Timing is
     /// observed, never consulted — except under an explicit
@@ -980,7 +980,7 @@ impl Session {
     /// `STATS`: session and engine counters.  The `sms`, `base`, `conn`
     /// and `metrics` scopes print only counters that are a pure function
     /// of the request/connection history, so transcripts can assert them
-    /// verbatim at any thread count or pool mode.
+    /// verbatim at any thread count.
     pub fn stats(&self, scope: StatsScope) -> Response {
         if scope == StatsScope::Base {
             return self.base_stats();
@@ -1017,7 +1017,6 @@ impl Session {
             let pool = parallel::pool_stats();
             lines.push(format!("STAT server_requests={}", server_requests()));
             lines.push(format!("STAT threads={}", parallel::num_threads()));
-            lines.push(format!("STAT pool_enabled={}", parallel::pool_enabled()));
             lines.push(format!("STAT pool_workers={}", pool.workers));
             lines.push(format!("STAT pool_jobs={}", pool.jobs));
             lines.push(format!("STAT pool_items={}", pool.items));
@@ -1032,7 +1031,7 @@ impl Session {
     /// (fact counts for chase-less disjunctive sessions); the registry
     /// counters are per program key, so they count only `LOAD`s of *this*
     /// program.  Every line is a pure function of the `LOAD`/`ASSERT`
-    /// history — never of thread count, pool mode or machine.
+    /// history — never of thread count or machine.
     fn base_stats(&self) -> Response {
         let mut lines = Vec::new();
         match self.loaded.as_ref() {
@@ -1069,7 +1068,7 @@ impl Session {
     /// computed here or inherited from the shared-base registry.  Every
     /// line is a pure function of the `LOAD` payload (classification is
     /// syntactic), so transcripts assert the scope verbatim at any thread
-    /// count or pool mode.
+    /// count.
     fn class_stats(&self) -> Response {
         let Some(loaded) = self.loaded.as_ref() else {
             return Response::ok_with(vec!["STAT classes_loaded=false".to_owned()], "stats");
@@ -1180,7 +1179,7 @@ fn conn_stat_lines(config: &SessionConfig) -> Vec<String> {
 }
 
 /// The incremental-`MODELS` counter lines of `STATS` (deterministic across
-/// thread counts and pool modes; see the crate docs).
+/// thread counts; see the crate docs).
 fn sms_stat_lines(loaded: &Loaded) -> Vec<String> {
     match loaded.sms.as_ref() {
         None => vec!["STAT sms_incremental=false".to_owned()],

@@ -5,8 +5,8 @@
 //! TCP connection.
 //!
 //! The headline test drives **256 concurrent sessions** against both
-//! transports at `NTGD_THREADS` 1 and 8, pool on and off, and requires every
-//! session's transcript to be byte-identical across transports — the
+//! transports at `NTGD_THREADS` 1 and 8 and requires every session's
+//! transcript to be byte-identical across transports — the
 //! protocol contract the ISSUE pins: the transport must be invisible to
 //! clients.
 
@@ -131,34 +131,30 @@ fn run_fleet(addr: std::net::SocketAddr, sessions: usize) -> Vec<String> {
 }
 
 /// The tentpole parity gate: 256 concurrent sessions, evented vs threaded,
-/// at 1 and 8 worker threads with the persistent pool on and off.  Each
-/// session's transcript must match byte-for-byte across transports.
+/// at 1 and 8 worker threads.  Each session's transcript must match
+/// byte-for-byte across transports.
 #[test]
 fn evented_matches_threaded_at_256_sessions_across_pool_configs() {
     const SESSIONS: usize = 256;
     for threads in [1usize, 8] {
-        for pool in [true, false] {
-            parallel::set_thread_override(Some(threads));
-            parallel::set_pool_enabled(Some(pool));
-            let evented = boot(Transport::Evented, None);
-            let threaded = boot(Transport::Threaded, None);
-            let a = run_fleet(evented.addr(), SESSIONS);
-            let b = run_fleet(threaded.addr(), SESSIONS);
-            let evented_stats = evented.conn_stats();
-            evented.shutdown().expect("evented shutdown");
-            threaded.shutdown().expect("threaded shutdown");
-            parallel::set_thread_override(None);
-            parallel::set_pool_enabled(None);
-            for (i, (ta, tb)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(
-                    ta, tb,
-                    "transcript diverged: session {i}, threads={threads}, pool={pool}"
-                );
-            }
-            assert_eq!(evented_stats.accepted, SESSIONS as u64);
-            assert_eq!(evented_stats.rejected, 0);
-            assert!(evented_stats.peak <= SESSIONS as u64);
+        parallel::set_thread_override(Some(threads));
+        let evented = boot(Transport::Evented, None);
+        let threaded = boot(Transport::Threaded, None);
+        let a = run_fleet(evented.addr(), SESSIONS);
+        let b = run_fleet(threaded.addr(), SESSIONS);
+        let evented_stats = evented.conn_stats();
+        evented.shutdown().expect("evented shutdown");
+        threaded.shutdown().expect("threaded shutdown");
+        parallel::set_thread_override(None);
+        for (i, (ta, tb)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(
+                ta, tb,
+                "transcript diverged: session {i}, threads={threads}"
+            );
         }
+        assert_eq!(evented_stats.accepted, SESSIONS as u64);
+        assert_eq!(evented_stats.rejected, 0);
+        assert!(evented_stats.peak <= SESSIONS as u64);
     }
 }
 

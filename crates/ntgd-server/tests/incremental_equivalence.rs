@@ -8,9 +8,8 @@
 //!   everything in one batch.
 //! * **Thread-count determinism** — for a *fixed* batch sequence the arena
 //!   is bit-identical (insertion order and null names included) at
-//!   `NTGD_THREADS ∈ {1, 2, 8}`, including the small-delta rounds that only
-//!   the persistent pool parallelises, and with the pool disabled (scoped
-//!   fallback).
+//!   `NTGD_THREADS ∈ {1, 2, 8}`, including the small-delta rounds that the
+//!   persistent pool parallelises.
 //! * **Retract equivalence** — rolling an epoch back and growing again is
 //!   indistinguishable from never having asserted the retracted batch.
 //! * **Capped-`MODELS` transcript pin** — a seeded disjunctive stream of
@@ -187,9 +186,8 @@ fn fixed_batching_is_bit_identical_across_thread_counts_and_pool_modes() {
         let mut rng = Rng::new(seed);
         let program = stratified_program(&mut rng);
         let facts = random_facts(&mut rng);
-        // Single-fact batches: every round is a *small delta*, the shape
-        // only the persistent pool parallelises (the scoped fallback gates
-        // these sequential).
+        // Single-fact batches: every round is a *small delta*, which the
+        // persistent pool still fans out.
         let batches: Vec<String> = facts.clone();
         let reference = run_session(&program, &batches, 1);
         for threads in [2, 8] {
@@ -199,13 +197,6 @@ fn fixed_batching_is_bit_identical_across_thread_counts_and_pool_modes() {
                 "seed {seed}: arena order diverged at {threads} threads\nprogram: {program}"
             );
         }
-        parallel::set_pool_enabled(Some(false));
-        let scoped = run_session(&program, &batches, 8);
-        parallel::set_pool_enabled(None);
-        assert_eq!(
-            scoped, reference,
-            "seed {seed}: scoped fallback diverged\nprogram: {program}"
-        );
     }
 }
 

@@ -157,17 +157,10 @@ fn stats_metrics_is_byte_stable_across_threads_and_pool_modes() {
         ]
     );
     for threads in [1usize, 2, 8] {
-        for pooled in [true, false] {
-            parallel::set_thread_override(Some(threads));
-            parallel::set_pool_enabled(Some(pooled));
-            let replay = transcript();
-            parallel::set_pool_enabled(None);
-            parallel::set_thread_override(None);
-            assert_eq!(
-                reference, replay,
-                "transcript differs at threads={threads} pooled={pooled}"
-            );
-        }
+        parallel::set_thread_override(Some(threads));
+        let replay = transcript();
+        parallel::set_thread_override(None);
+        assert_eq!(reference, replay, "transcript differs at threads={threads}");
     }
 }
 

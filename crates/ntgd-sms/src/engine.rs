@@ -451,8 +451,8 @@ impl SmsEngine {
         // same witness would refute is excluded in one step).
         //
         // Candidates are collected in small batches and their (independent,
-        // read-only) stability checks run concurrently on the scoped worker
-        // pool; the batch size is a constant — NOT the thread count — and
+        // read-only) stability checks run concurrently on the persistent
+        // worker pool; the batch size is a constant — NOT the thread count — and
         // results are consumed in collection order, so the candidate
         // sequence, every refinement, and the returned model list are
         // bit-identical at every thread count.

@@ -238,7 +238,7 @@ pub(crate) fn existentials_for_program(
 /// `plans` holds the cached rule plans shared with the instantiation phase of
 /// [`ground_sms`]; every round executes them without recompiling.
 ///
-/// Large rounds evaluate the rules in parallel on the scoped worker pool:
+/// Large rounds evaluate the rules in parallel on the persistent worker pool:
 /// every worker matches against the frozen closure snapshot and emits
 /// candidate atoms into a private buffer, and the buffers are merged into
 /// one sorted addition set before insertion — the closure (arena order

@@ -55,7 +55,7 @@
 //! without changing answers).
 //!
 //! All counters and the cached state itself are deterministic across worker
-//! counts and pool modes: every parallel pass used here inherits the
+//! counts: every parallel pass used here inherits the
 //! ordered-merge contract of [`ntgd_core::parallel`].
 
 use std::collections::BTreeSet;
@@ -80,7 +80,7 @@ static SMS_GROUNDINGS: obs::Counter = obs::Counter::new("sms.groundings");
 /// Cumulative reuse counters of one [`IncrementalSmsState`].
 ///
 /// Every counter is a pure function of the request history (never of thread
-/// count, pool mode or timing), so services can assert them in transcripts.
+/// count or timing), so services can assert them in transcripts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SmsReuseStats {
     /// Requests answered by building closure + grounding from scratch.

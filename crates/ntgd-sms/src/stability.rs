@@ -35,7 +35,7 @@ use crate::universe::Domain;
 /// homomorphism then checks disjunct satisfaction through the cached plans
 /// (the homomorphism is applied as slot presets, not recompiled).  On large
 /// interpretations the per-rule checks — independent reads of the frozen
-/// interpretation — run in parallel on the scoped worker pool.
+/// interpretation — run in parallel on the persistent worker pool.
 pub fn is_classical_model(
     interpretation: &Interpretation,
     database: &Database,

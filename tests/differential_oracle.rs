@@ -13,8 +13,7 @@
 //! domain, so string equality is exact).
 //!
 //! The matrix test additionally replays fixed streams at `NTGD_THREADS ∈
-//! {1, 2, 8}` and in both pool modes (persistent pool and scoped-spawn
-//! fallback) and requires the **entire transcript** to be bit-identical —
+//! {1, 2, 8}` and requires the **entire transcript** to be bit-identical —
 //! the determinism contract of `ntgd_core::parallel` extended to the cached
 //! grounding.
 //!
@@ -260,20 +259,16 @@ fn thread_and_pool_matrix_is_bit_identical_and_oracle_equal() {
     for seed in seeds {
         let mut reference: Option<Vec<String>> = None;
         for threads in [1usize, 2, 8] {
-            for pooled in [true, false] {
-                parallel::set_thread_override(Some(threads));
-                parallel::set_pool_enabled(Some(pooled));
-                let mut exercised = Exercised::default();
-                let transcript = run_stream(seed, &mut exercised);
-                parallel::set_pool_enabled(None);
-                parallel::set_thread_override(None);
-                match &reference {
-                    None => reference = Some(transcript),
-                    Some(expected) => assert_eq!(
-                        expected, &transcript,
-                        "seed {seed:#x}: transcript differs at threads={threads} pooled={pooled}"
-                    ),
-                }
+            parallel::set_thread_override(Some(threads));
+            let mut exercised = Exercised::default();
+            let transcript = run_stream(seed, &mut exercised);
+            parallel::set_thread_override(None);
+            match &reference {
+                None => reference = Some(transcript),
+                Some(expected) => assert_eq!(
+                    expected, &transcript,
+                    "seed {seed:#x}: transcript differs at threads={threads}"
+                ),
             }
         }
     }
@@ -373,10 +368,10 @@ fn forked_sessions_match_private_from_scratch_sessions() {
 
 #[test]
 fn forked_transcripts_are_bit_identical_across_threads_and_pool_modes() {
-    // The fork determinism contract of the shared-base registry, under the
-    // full parallelism matrix: a forked session's transcript must not
-    // depend on NTGD_THREADS or the pool mode — and must equal the private
-    // from-scratch transcript in every cell.
+    // The fork determinism contract of the shared-base registry at every
+    // thread count: a forked session's transcript must not depend on
+    // NTGD_THREADS — and must equal the private from-scratch transcript in
+    // every cell.
     let seed = 0xF06B_0201u64;
     let mut rng = Rng::new(seed);
     let mut program_text = random_program(&mut rng);
@@ -397,37 +392,32 @@ fn forked_transcripts_are_bit_identical_across_threads_and_pool_modes() {
     commands.push("MODELS".to_owned());
     let mut reference: Option<Vec<String>> = None;
     for threads in [1usize, 2, 8] {
-        for pooled in [true, false] {
-            parallel::set_thread_override(Some(threads));
-            parallel::set_pool_enabled(Some(pooled));
-            let context =
-                format!("seed {seed:#x} threads {threads} pooled {pooled} `{program_text}`");
-            let registry = Arc::new(BaseRegistry::new());
-            let shared = SessionConfig {
-                incremental_models: true,
-                base_registry: Some(Arc::clone(&registry)),
-                ..SessionConfig::default()
-            };
-            let private = SessionConfig {
-                incremental_models: true,
-                base_registry: None,
-                ..SessionConfig::default()
-            };
-            // Two forks per cell: the registering session and a pure hit.
-            let registering = replay(&commands, &shared, &program, &context);
-            let hit = replay(&commands, &shared, &program, &context);
-            let scratch = replay(&commands, &private, &program, &context);
-            parallel::set_pool_enabled(None);
-            parallel::set_thread_override(None);
-            assert_eq!(registering, hit, "{context}: fork order leaked");
-            assert_eq!(hit, scratch, "{context}: fork diverged from scratch");
-            match &reference {
-                None => reference = Some(scratch),
-                Some(expected) => assert_eq!(
-                    expected, &scratch,
-                    "{context}: transcript depends on the parallelism cell"
-                ),
-            }
+        parallel::set_thread_override(Some(threads));
+        let context = format!("seed {seed:#x} threads {threads} `{program_text}`");
+        let registry = Arc::new(BaseRegistry::new());
+        let shared = SessionConfig {
+            incremental_models: true,
+            base_registry: Some(Arc::clone(&registry)),
+            ..SessionConfig::default()
+        };
+        let private = SessionConfig {
+            incremental_models: true,
+            base_registry: None,
+            ..SessionConfig::default()
+        };
+        // Two forks per cell: the registering session and a pure hit.
+        let registering = replay(&commands, &shared, &program, &context);
+        let hit = replay(&commands, &shared, &program, &context);
+        let scratch = replay(&commands, &private, &program, &context);
+        parallel::set_thread_override(None);
+        assert_eq!(registering, hit, "{context}: fork order leaked");
+        assert_eq!(hit, scratch, "{context}: fork diverged from scratch");
+        match &reference {
+            None => reference = Some(scratch),
+            Some(expected) => assert_eq!(
+                expected, &scratch,
+                "{context}: transcript depends on the parallelism cell"
+            ),
         }
     }
 }
@@ -460,11 +450,11 @@ fn classified_budget_free_runs_match_blind_budgeted_runs() {
     // and the *exact* Auto null budget, and that lifted run must be
     // bit-identical to the blind budgeted run — classification is purely
     // syntactic, so the verdict may change resource policy but never
-    // answers — across NTGD_THREADS {1, 2, 8} and both pool modes.  A
-    // third config proves the lift is real rather than vacuous: with a
-    // 3-step budget these programs could not even LOAD blind (the session
-    // unit tests pin that failure), yet the classified session transcribes
-    // identically to the default-budget runs.
+    // answers — across NTGD_THREADS {1, 2, 8}.  A third config proves the
+    // lift is real rather than vacuous: with a 3-step budget these programs
+    // could not even LOAD blind (the session unit tests pin that failure),
+    // yet the classified session transcribes identically to the
+    // default-budget runs.
     for seed in [0xC1A5_0001u64, 0xC1A5_0002] {
         let mut rng = Rng::new(seed);
         let program_text = random_weakly_acyclic_program(&mut rng);
@@ -508,31 +498,26 @@ fn classified_budget_free_runs_match_blind_budgeted_runs() {
         };
         let mut reference: Option<Vec<String>> = None;
         for threads in [1usize, 2, 8] {
-            for pooled in [true, false] {
-                parallel::set_thread_override(Some(threads));
-                parallel::set_pool_enabled(Some(pooled));
-                let context =
-                    format!("seed {seed:#x} threads {threads} pooled {pooled} `{program_text}`");
-                let lifted = replay(&commands, &classified, &program, &context);
-                let budgeted = replay(&commands, &blind, &program, &context);
-                let lifted_tight = replay(&commands, &tight, &program, &context);
-                parallel::set_pool_enabled(None);
-                parallel::set_thread_override(None);
-                assert_eq!(
-                    lifted, budgeted,
-                    "{context}: the lifted budget changed results"
-                );
-                assert_eq!(
-                    lifted, lifted_tight,
-                    "{context}: a terminating verdict must make max_steps irrelevant"
-                );
-                match &reference {
-                    None => reference = Some(lifted),
-                    Some(expected) => assert_eq!(
-                        expected, &lifted,
-                        "{context}: transcript depends on the parallelism cell"
-                    ),
-                }
+            parallel::set_thread_override(Some(threads));
+            let context = format!("seed {seed:#x} threads {threads} `{program_text}`");
+            let lifted = replay(&commands, &classified, &program, &context);
+            let budgeted = replay(&commands, &blind, &program, &context);
+            let lifted_tight = replay(&commands, &tight, &program, &context);
+            parallel::set_thread_override(None);
+            assert_eq!(
+                lifted, budgeted,
+                "{context}: the lifted budget changed results"
+            );
+            assert_eq!(
+                lifted, lifted_tight,
+                "{context}: a terminating verdict must make max_steps irrelevant"
+            );
+            match &reference {
+                None => reference = Some(lifted),
+                Some(expected) => assert_eq!(
+                    expected, &lifted,
+                    "{context}: transcript depends on the parallelism cell"
+                ),
             }
         }
     }

@@ -420,18 +420,15 @@ fn parallel_grounding_and_model_enumeration_are_deterministic() {
     }
 }
 
-/// The small-delta path: with the persistent pool, rounds far below the old
-/// `MIN_PARALLEL_WORK` spawn-amortisation gate dispatch to already-running
-/// workers instead of falling back to sequential — and must still be
-/// bit-identical (arena order, null names, steps) to the one-thread run,
-/// with the pool on and with the scoped fallback.  Tiny databases keep every
-/// chase round's delta to a handful of atoms.
+/// The small-delta path: rounds of a handful of work units dispatch to the
+/// already-running pool workers instead of running sequentially — and must
+/// still be bit-identical (arena order, null names, steps) to the one-thread
+/// run.  Tiny databases keep every chase round's delta to a handful of atoms.
 #[test]
 fn parallel_small_delta_rounds_are_deterministic_and_pooled() {
     use stable_tgd::core::parallel;
-    // With the pool, even 2-work-unit rounds fan out (far below the scoped
-    // fallback's spawn-amortisation threshold).
-    const _: () = assert!(parallel::MIN_POOLED_WORK < parallel::MIN_PARALLEL_WORK);
+    // Even 2-work-unit rounds fan out.
+    const _: () = assert!(parallel::MIN_POOLED_WORK <= 2);
     for seed in 0..8u64 {
         let mut rng = Rng::new(0x5de17a ^ seed);
         let (rules_text, _) = existential_program_and_database(&mut rng);
@@ -456,13 +453,6 @@ fn parallel_small_delta_rounds_are_deterministic_and_pooled() {
             assert_eq!(
                 pooled, sequential,
                 "seed {seed}, {threads} threads (pool): small-delta chase diverged ({rules_text})"
-            );
-            parallel::set_pool_enabled(Some(false));
-            let scoped = at_thread_count(threads, run);
-            parallel::set_pool_enabled(None);
-            assert_eq!(
-                scoped, sequential,
-                "seed {seed}, {threads} threads (scoped): small-delta chase diverged ({rules_text})"
             );
         }
     }
