@@ -72,7 +72,8 @@
 //! ASSERT …      →  OK mark=<k> added=<a> derived=<d> atoms=<n>
 //! QUERY …       →  ANSWER <t1>, <t2>, …   (one line per certain answer)
 //!                  OK answers=<n> dropped=<d>      ; d = null-bound tuples
-//! MODELS …      →  MODEL <interpretation>  (one line per model, sorted)
+//! MODELS …      →  MODEL {<atoms>}  (one line per model, lines sorted;
+//!                  atoms sorted in symbol-intern order)
 //!                  OK models=<m> mode=<sms|lp>
 //! RETRACT-TO k  →  OK mark=<k> atoms=<n>
 //! STATS         →  STAT <key>=<value> …  then  OK

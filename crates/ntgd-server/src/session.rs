@@ -2,6 +2,7 @@
 //! instance, the epoch-mark history, and session-scoped model enumeration.
 
 use std::collections::HashSet;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -12,7 +13,9 @@ use ntgd_core::obs::{self, log::FieldValue, log::Level};
 use ntgd_core::{parallel, Atom, Database, DisjunctiveProgram, Program, Query, Term};
 use ntgd_lp::{LpEngine, LpLimits};
 use ntgd_parser::{parse_database, parse_query, parse_unit};
-use ntgd_sms::{GroundingLimits, IncrementalSmsState, NullBudget, SmsEngine, SmsError, SmsOptions};
+use ntgd_sms::{
+    AtomSet, GroundSmsProgram, GroundingLimits, IncrementalSmsState, NullBudget, SmsEngine,
+};
 
 use crate::protocol::{parse_command, Command, ModelsMode, Response, StatsScope};
 use crate::registry::{BaseEntry, BaseKey, BaseRegistry, ProgramClass};
@@ -890,28 +893,27 @@ impl Session {
                     sms,
                     ..
                 } = loaded;
-                let result = match sms.as_mut() {
+                let engine = SmsEngine::new_shared(Arc::clone(disjunctive));
+                let scratch;
+                let ground = match sms.as_mut() {
                     Some(state) => match state.ensure_current(facts) {
-                        Ok(ground) => SmsEngine::new_shared(Arc::clone(disjunctive))
-                            .stable_models_over(ground, max_models),
-                        Err(error) => Err(SmsError::from(error)),
+                        Ok(ground) => ground,
+                        Err(error) => return Response::err(error),
                     },
                     None => {
                         let database = match Database::from_facts(facts.iter().cloned()) {
                             Ok(database) => database,
                             Err(error) => return Response::err(error),
                         };
-                        let options = SmsOptions {
-                            max_models,
-                            ..SmsOptions::default()
+                        scratch = match engine.ground(&database, None) {
+                            Ok(ground) => ground,
+                            Err(error) => return Response::err(error),
                         };
-                        SmsEngine::new_shared(Arc::clone(disjunctive))
-                            .with_options(options)
-                            .stable_models(&database)
+                        &scratch
                     }
                 };
-                match result {
-                    Ok(models) => render_models(models.iter().map(ToString::to_string)),
+                match engine.stable_model_ids_over(ground, max_models) {
+                    Ok(models) => render_models(models.iter().map(|m| model_line(ground, m))),
                     Err(error) => return Response::err(error),
                 }
             }
@@ -929,7 +931,7 @@ impl Session {
                             .models()
                             .iter()
                             .take(max_models)
-                            .map(ToString::to_string),
+                            .map(|m| format!("MODEL {m}")),
                     ),
                     Err(error) => return Response::err(error),
                 }
@@ -1199,12 +1201,34 @@ fn sms_stat_lines(loaded: &Loaded) -> Vec<String> {
     }
 }
 
-/// Renders models sorted, one protocol line each (stable across engines and
-/// thread counts: interpretations display their atoms sorted).
-fn render_models<I: Iterator<Item = String>>(models: I) -> Vec<String> {
-    let mut rendered: Vec<String> = models.map(|m| format!("MODEL {m}")).collect();
+/// Sorts rendered `MODEL` lines, one per model.  Within a line the atoms are
+/// sorted in symbol-intern order (`Atom`'s `Ord`), as an interpretation
+/// displays them, so the listing is stable across engines and thread counts.
+fn render_models<I: Iterator<Item = String>>(lines: I) -> Vec<String> {
+    let mut rendered: Vec<String> = lines.collect();
     rendered.sort();
     rendered
+}
+
+/// The `MODEL` line of a stable model given as atom ids of `ground`: the
+/// same bytes as `format!("MODEL {interpretation}")` for the model's
+/// interpretation, written without building one.
+fn model_line(ground: &GroundSmsProgram, model: &AtomSet) -> String {
+    let mut atoms: Vec<&Atom> = model
+        .ids()
+        .iter()
+        .map(|&id| ground.atoms.atom(id))
+        .collect();
+    atoms.sort_unstable();
+    let mut line = String::from("MODEL {");
+    for (i, atom) in atoms.into_iter().enumerate() {
+        if i > 0 {
+            line.push_str(", ");
+        }
+        write!(line, "{atom}").expect("writing to a String cannot fail");
+    }
+    line.push('}');
+    line
 }
 
 #[cfg(test)]
@@ -1279,6 +1303,38 @@ mod tests {
         session.execute("ASSERT node(w).");
         let third = session.execute("MODELS");
         assert_eq!(third.terminator(), Some("OK models=4 mode=sms"));
+    }
+
+    #[test]
+    fn model_lines_match_the_interpretation_display() {
+        // Example 1 with two people: fathers range over the constants and the
+        // labelled nulls of the candidate domain.  The constants are interned
+        // here in non-alphabetical order (`zora_render` first), so atom order
+        // is intern order, not text order.
+        let text = "person(zora_render). person(abel_render). \
+                    person(X) -> hasFather(X, Y). \
+                    hasFather(X, Y) -> sameAs(Y, Y). \
+                    hasFather(X, Y), hasFather(X, Z), not sameAs(Y, Z) -> abnormal(X).";
+        let unit = parse_unit(text).unwrap();
+        let engine = SmsEngine::new_disjunctive(unit.disjunctive_program().unwrap());
+        let mut expected: Vec<String> = engine
+            .stable_models(&unit.database)
+            .unwrap()
+            .iter()
+            .map(|m| format!("MODEL {m}"))
+            .collect();
+        expected.sort();
+        assert!(expected.iter().any(|line| line.contains("_n")), "{expected:?}");
+        for incremental_models in [true, false] {
+            let mut session = Session::new(SessionConfig {
+                incremental_models,
+                ..SessionConfig::default()
+            });
+            session.execute(&format!("LOAD {text}"));
+            let response = session.execute("MODELS sms");
+            let lines = &response.lines[..response.lines.len() - 1];
+            assert_eq!(lines, expected, "incremental={incremental_models}");
+        }
     }
 
     #[test]
@@ -1531,7 +1587,9 @@ mod tests {
             .lines
             .iter()
             .any(|l| l.starts_with("STAT class_members=") && l.contains("weakly-acyclic")));
-        assert!(stats.lines.contains(&"STAT class_verdict=terminating".into()));
+        assert!(stats
+            .lines
+            .contains(&"STAT class_verdict=terminating".into()));
         assert!(stats
             .lines
             .contains(&"STAT class_chase_budget=unbounded".into()));

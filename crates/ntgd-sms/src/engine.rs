@@ -176,7 +176,10 @@ impl SmsEngine {
         &self.options
     }
 
-    fn ground(
+    /// Grounds `(database, Σ)` over the candidate domain (which also covers
+    /// the constants of `query`, if any), as every search of this engine
+    /// does.
+    pub fn ground(
         &self,
         database: &Database,
         query: Option<&Query>,
@@ -192,7 +195,7 @@ impl SmsEngine {
 
     /// Enumerates stable models of `(database, Σ)` (up to `max_models`).
     pub fn stable_models(&self, database: &Database) -> Result<Vec<Interpretation>, SmsError> {
-        self.search(database, QueryMode::Unconstrained, self.options.max_models)
+        self.stable_models_with_statistics(database)
             .map(|(models, _)| models)
     }
 
@@ -201,15 +204,19 @@ impl SmsEngine {
         &self,
         database: &Database,
     ) -> Result<(Vec<Interpretation>, SmsStatistics), SmsError> {
-        self.search(database, QueryMode::Unconstrained, self.options.max_models)
+        let ground = self.ground(database, None)?;
+        let (models, stats) =
+            self.search_ground(&ground, QueryMode::Unconstrained, self.options.max_models)?;
+        let models = models
+            .iter()
+            .map(|model| interpretation_of(&ground, model))
+            .collect();
+        Ok((models, stats))
     }
 
     /// Returns `true` if at least one stable model exists.
     pub fn has_stable_model(&self, database: &Database) -> Result<bool, SmsError> {
-        Ok(!self
-            .search(database, QueryMode::Unconstrained, 1)?
-            .0
-            .is_empty())
+        self.exists(database, QueryMode::Unconstrained)
     }
 
     /// Cautious entailment of a Boolean query: `(D,Σ) ⊨_SMS q` iff every
@@ -219,8 +226,7 @@ impl SmsEngine {
         database: &Database,
         query: &Query,
     ) -> Result<SmsAnswer, SmsError> {
-        let counter = self.search(database, QueryMode::MustRefute(query), 1)?;
-        if !counter.0.is_empty() {
+        if self.exists(database, QueryMode::MustRefute(query))? {
             return Ok(SmsAnswer::NotEntailed);
         }
         if self.has_stable_model(database)? {
@@ -232,10 +238,7 @@ impl SmsEngine {
 
     /// Brave entailment of a Boolean query: some stable model satisfies `q`.
     pub fn entails_brave(&self, database: &Database, query: &Query) -> Result<bool, SmsError> {
-        Ok(!self
-            .search(database, QueryMode::MustSatisfy(query), 1)?
-            .0
-            .is_empty())
+        self.exists(database, QueryMode::MustSatisfy(query))
     }
 
     /// Certain answers of an n-ary query (intersection over all stable
@@ -280,48 +283,35 @@ impl SmsEngine {
 
     /// Enumerates stable models over an **externally built** grounding
     /// (e.g. the cached, incrementally advanced grounding of
-    /// [`crate::incremental::IncrementalSmsState`]), up to `max_models`.
+    /// [`crate::incremental::IncrementalSmsState`], or [`SmsEngine::ground`]),
+    /// up to `max_models`.  Each model is returned as the set of its ground
+    /// atom ids in `ground.atoms`.
     ///
     /// The caller is responsible for the grounding matching this engine's
     /// program; the CEGAR search only reads it.
-    pub fn stable_models_over(
+    pub fn stable_model_ids_over(
         &self,
         ground: &GroundSmsProgram,
         max_models: usize,
-    ) -> Result<Vec<Interpretation>, SmsError> {
+    ) -> Result<Vec<AtomSet>, SmsError> {
         self.search_ground(ground, QueryMode::Unconstrained, max_models)
             .map(|(models, _)| models)
     }
 
-    /// Like [`SmsEngine::stable_models_over`] but also returns search
-    /// statistics.
-    pub fn stable_models_over_with_statistics(
-        &self,
-        ground: &GroundSmsProgram,
-        max_models: usize,
-    ) -> Result<(Vec<Interpretation>, SmsStatistics), SmsError> {
-        self.search_ground(ground, QueryMode::Unconstrained, max_models)
-    }
-
-    /// The core CEGAR search: ground, then enumerate classical models of the
-    /// grounding (restricted by the query mode), keeping the stable ones.
-    fn search(
-        &self,
-        database: &Database,
-        mode: QueryMode<'_>,
-        max_models: usize,
-    ) -> Result<(Vec<Interpretation>, SmsStatistics), SmsError> {
+    /// Whether some stable model passes the query constraint of `mode`.
+    fn exists(&self, database: &Database, mode: QueryMode<'_>) -> Result<bool, SmsError> {
         let ground = self.ground(database, mode.query())?;
-        self.search_ground(&ground, mode, max_models)
+        Ok(!self.search_ground(&ground, mode, 1)?.0.is_empty())
     }
 
-    /// The CEGAR search proper, over a prebuilt grounding.
+    /// The core CEGAR search over a grounding: enumerate classical models
+    /// (restricted by the query mode), keeping the stable ones.
     fn search_ground(
         &self,
         ground: &GroundSmsProgram,
         mode: QueryMode<'_>,
         max_models: usize,
-    ) -> Result<(Vec<Interpretation>, SmsStatistics), SmsError> {
+    ) -> Result<(Vec<AtomSet>, SmsStatistics), SmsError> {
         let mut stats = SmsStatistics {
             ground_atoms: ground.possibly_true_count(),
             ground_rules: ground.rules.len(),
@@ -456,7 +446,7 @@ impl SmsEngine {
         // results are consumed in collection order, so the candidate
         // sequence, every refinement, and the returned model list are
         // bit-identical at every thread count.
-        let mut models: Vec<Interpretation> = Vec::new();
+        let mut models: Vec<AtomSet> = Vec::new();
         let mut exhausted = false;
         // Clause scratch, reused by every candidate and refinement.
         let (mut blocking, mut outside, mut blockers) = (Vec::new(), Vec::new(), Vec::new());
@@ -506,26 +496,11 @@ impl SmsEngine {
             let witnesses = parallel::par_map_with(&batch, check_threads, |_, candidate| {
                 find_instability_witness(ground, &index, candidate)
             });
-            for (candidate, witness) in batch.iter().zip(witnesses) {
+            for (candidate, witness) in batch.into_iter().zip(witnesses) {
                 match witness {
                     None => {
                         stats.stable += 1;
-                        let mut interpretation = Interpretation::from_atoms(
-                            candidate
-                                .ids()
-                                .iter()
-                                .map(|&id| ground.atoms.atom(id).clone()),
-                        );
-                        // Candidates are interpretations over the *candidate
-                        // universe*, not merely over the terms of their true
-                        // atoms: re-register the universe so negative
-                        // literals over domain elements that happen to carry
-                        // no atom in this model evaluate correctly on the
-                        // returned interpretation.
-                        for t in ground.domain.terms() {
-                            interpretation.add_domain_element(*t);
-                        }
-                        models.push(interpretation);
+                        models.push(candidate);
                         if models.len() >= max_models {
                             // The collection blocking clause already excludes
                             // this model from future batches.
@@ -588,6 +563,20 @@ impl SmsEngine {
         }
         Ok((models, stats))
     }
+}
+
+/// A stable model found over `ground` as an interpretation.
+fn interpretation_of(ground: &GroundSmsProgram, model: &AtomSet) -> Interpretation {
+    let mut interpretation =
+        Interpretation::from_atoms(model.ids().iter().map(|&id| ground.atoms.atom(id).clone()));
+    // Candidates are interpretations over the *candidate universe*, not
+    // merely over the terms of their true atoms: re-register the universe so
+    // negative literals over domain elements that happen to carry no atom in
+    // this model evaluate correctly on the returned interpretation.
+    for t in ground.domain.terms() {
+        interpretation.add_domain_element(*t);
+    }
+    interpretation
 }
 
 /// Number of classical-model candidates one CEGAR iteration collects before

@@ -610,10 +610,15 @@ mod tests {
         let ground = state.ensure_current(live).unwrap();
         let engine = SmsEngine::new_shared(Arc::clone(program));
         let mut rendered: Vec<String> = engine
-            .stable_models_over(ground, 1024)
+            .stable_model_ids_over(ground, 1024)
             .unwrap()
             .iter()
-            .map(Interpretation::to_string)
+            .map(|model| {
+                Interpretation::from_atoms(
+                    model.ids().iter().map(|&id| ground.atoms.atom(id).clone()),
+                )
+                .to_string()
+            })
             .collect();
         rendered.sort();
         rendered

@@ -47,5 +47,5 @@ pub use grounding::{
     ground_sms, AtomTable, GroundSmsProgram, GroundSmsRule, GroundingError, GroundingLimits,
 };
 pub use incremental::{IncrementalSmsState, SmsBaseSnapshot, SmsReuseStats};
-pub use stability::is_stable_model;
+pub use stability::{is_stable_model, AtomSet};
 pub use universe::{build_domain, Domain, NullBudget};

@@ -7,7 +7,10 @@
 //! (existential witnesses ranging over `dom(M)`).
 //!
 //! The check is coNP (`W-Stability` in the paper); we delegate the
-//! complementary search for such a `J` to the CDCL SAT solver.
+//! complementary search for such a `J` to the CDCL SAT solver.  When the
+//! reduct of `M` is Horn (every rule instance that constrains `J` has at most
+//! one disjunct inside `M`), its least model often proves stability in
+//! linear time first, and the SAT call is skipped.
 //!
 //! Candidates and witnesses are [`AtomSet`]s: ascending atom ids plus a
 //! membership mask over the grounding's atom table.  The per-grounding
@@ -19,13 +22,19 @@ use std::collections::HashMap;
 use std::ops::ControlFlow;
 
 use ntgd_core::{
-    parallel, CompiledDisjunctiveRuleSet, Database, DisjunctiveProgram, Interpretation, Program,
-    Substitution, Term,
+    obs, parallel, CompiledDisjunctiveRuleSet, Database, DisjunctiveProgram, Interpretation,
+    Program, Substitution, Term,
 };
 use ntgd_sat::{CnfBuilder, Lit, SolveResult};
 
-use crate::grounding::{ground_sms, GroundSmsProgram, GroundingLimits};
+use crate::grounding::{ground_sms, GroundSmsProgram, GroundSmsRule, GroundingLimits};
 use crate::universe::Domain;
+
+/// One tick per stability check of a candidate.
+static SMS_STABILITY_CHECKS: obs::Counter = obs::Counter::new("sms.stability_checks");
+/// One tick per stability check the least-model pass decided without a SAT
+/// call.
+static SMS_STABILITY_LEAST_MODEL: obs::Counter = obs::Counter::new("sms.stability_least_model");
 
 /// Returns `true` if the interpretation is a classical model of the database
 /// and the (disjunctive) program, in the homomorphism-based sense of the
@@ -167,21 +176,179 @@ pub fn is_stable_ground(ground: &GroundSmsProgram, candidate: &AtomSet) -> bool 
 /// candidate is stable.
 ///
 /// `candidate` is `M⁺` (a subset of the possibly-true atoms) and `index` the
-/// [`GroundIndex`] of `ground`.  SAT variables are created in ascending atom
-/// id order and clauses are emitted in rule order, so concurrently running
-/// checks — and reruns at different thread counts — build identical CNFs and
-/// find identical witnesses.
+/// [`GroundIndex`] of `ground`.  The rule instances that constrain `J` are
+/// collected once.  When every one of them has at most one disjunct inside
+/// `M`, the reduct is Horn and a linear least-model pass decides the check
+/// whenever it proves stability; otherwise the SAT search runs.  SAT
+/// variables are created in ascending atom id order and clauses are emitted
+/// in rule order, so concurrently running checks — and reruns at different
+/// thread counts — build identical CNFs and find identical witnesses.
 pub fn find_instability_witness(
     ground: &GroundSmsProgram,
     index: &GroundIndex,
     candidate: &AtomSet,
 ) -> Option<AtomSet> {
-    // (s < p) needs a non-database atom of M to drop.  If there is none,
-    // M = D has no proper subset containing D, so M is stable (provided it
-    // is a model, which callers check separately).
-    if candidate.ids().iter().all(|&id| index.is_fact[id]) {
+    SMS_STABILITY_CHECKS.incr();
+    let relevant = relevant_instances(ground, index, candidate);
+    if least_model(ground, candidate, &relevant).proves_stable() {
+        SMS_STABILITY_LEAST_MODEL.incr();
         return None;
     }
+    sat_instability_witness(ground, index, candidate, &relevant)
+}
+
+/// The rule instances that constrain `J ⊆ M` (in rule order): those that
+/// *fire with respect to M's negative information*.
+fn relevant_instances<'g>(
+    ground: &'g GroundSmsProgram,
+    index: &GroundIndex,
+    candidate: &AtomSet,
+) -> Vec<&'g GroundSmsRule> {
+    // Constants occurring only negatively must lie in dom(M).
+    let in_dom_m = |t: &Term| index.atoms_with(t).iter().any(|&id| candidate.contains(id));
+    ground
+        .rules
+        .iter()
+        .filter(|rule| {
+            // The instance is relevant only if its positive body can lie in
+            // J ⊆ M, and negative literals are evaluated over M (original
+            // predicates).
+            rule.body_pos.iter().all(|&id| candidate.contains(id))
+                && !rule.body_neg.iter().any(|&id| candidate.contains(id))
+                && rule.neg_domain_terms.iter().all(in_dom_m)
+        })
+        .collect()
+}
+
+/// The disjuncts of `rule` that lie entirely inside `M`: existential
+/// witnesses range over dom(M), so only these can be used by `J`.
+fn inside<'r>(
+    rule: &'r GroundSmsRule,
+    candidate: &'r AtomSet,
+) -> impl Iterator<Item = &'r Vec<usize>> + 'r {
+    rule.disjuncts
+        .iter()
+        .filter(|disjunct| disjunct.iter().all(|&id| candidate.contains(id)))
+}
+
+/// What the least-model pass learned about a candidate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum LeastModel {
+    /// The reduct is Horn and its least model is `M⁺`: every `J` that
+    /// satisfies it is `M⁺` itself, so `M` is stable.
+    EqualsCandidate,
+    /// The reduct is Horn and its least model fires an instance with no
+    /// disjunct inside `M`: no `J` satisfies it at all, so `M` is stable.
+    ViolatesConstraint,
+    /// The reduct is Horn and its least model is a proper subset of `M⁺`:
+    /// `M` is unstable, and the SAT search picks the witness.
+    ProperSubset,
+    /// Some relevant instance has two or more disjuncts inside `M`.
+    NotHorn,
+}
+
+impl LeastModel {
+    fn proves_stable(self) -> bool {
+        matches!(
+            self,
+            LeastModel::EqualsCandidate | LeastModel::ViolatesConstraint
+        )
+    }
+}
+
+/// Computes the least model of `D ∩ M` under the relevant instances, read
+/// as Horn rules, by counter-based unit propagation (linear in their size).
+fn least_model(
+    ground: &GroundSmsProgram,
+    candidate: &AtomSet,
+    relevant: &[&GroundSmsRule],
+) -> LeastModel {
+    // Each instance's head in the reduct: its one disjunct inside M, or
+    // `None` for an instance that can only be violated.
+    let mut heads: Vec<Option<&[usize]>> = Vec::with_capacity(relevant.len());
+    for rule in relevant {
+        let mut disjuncts = inside(rule, candidate);
+        let head = disjuncts.next();
+        if disjuncts.next().is_some() {
+            return LeastModel::NotHorn;
+        }
+        heads.push(head.map(Vec::as_slice));
+    }
+    // Watch lists in one flat array: `watchers[start[id]..start[id + 1]]`
+    // are the instances whose positive body mentions atom `id`, once per
+    // occurrence.
+    let atom_count = ground.atoms.len();
+    let mut start = vec![0usize; atom_count + 1];
+    for rule in relevant {
+        for &id in &rule.body_pos {
+            start[id + 1] += 1;
+        }
+    }
+    for id in 0..atom_count {
+        start[id + 1] += start[id];
+    }
+    let mut watchers = vec![0usize; start[atom_count]];
+    let mut fill = start.clone();
+    for (instance, rule) in relevant.iter().enumerate() {
+        for &id in &rule.body_pos {
+            watchers[fill[id]] = instance;
+            fill[id] += 1;
+        }
+    }
+    let mut missing: Vec<usize> = relevant.iter().map(|rule| rule.body_pos.len()).collect();
+    let mut ready: Vec<usize> = (0..relevant.len())
+        .filter(|&instance| missing[instance] == 0)
+        .collect();
+    let mut derived = vec![false; atom_count];
+    let mut derived_count = 0;
+    let mut queue: Vec<usize> = Vec::new();
+    let mut derive = |id: usize, queue: &mut Vec<usize>| {
+        if !derived[id] {
+            derived[id] = true;
+            derived_count += 1;
+            queue.push(id);
+        }
+    };
+    for &f in &ground.facts {
+        if candidate.contains(f) {
+            derive(f, &mut queue);
+        }
+    }
+    loop {
+        while let Some(instance) = ready.pop() {
+            let Some(head) = heads[instance] else {
+                return LeastModel::ViolatesConstraint;
+            };
+            for &id in head {
+                derive(id, &mut queue);
+            }
+        }
+        let Some(id) = queue.pop() else {
+            break;
+        };
+        for &instance in &watchers[start[id]..start[id + 1]] {
+            missing[instance] -= 1;
+            if missing[instance] == 0 {
+                ready.push(instance);
+            }
+        }
+    }
+    if derived_count == candidate.ids().len() {
+        LeastModel::EqualsCandidate
+    } else {
+        LeastModel::ProperSubset
+    }
+}
+
+/// The SAT search for an instability witness over the `relevant`
+/// instances, which [`find_instability_witness`] falls back to when the
+/// least-model pass cannot decide.
+fn sat_instability_witness(
+    ground: &GroundSmsProgram,
+    index: &GroundIndex,
+    candidate: &AtomSet,
+    relevant: &[&GroundSmsRule],
+) -> Option<AtomSet> {
     let mut builder = CnfBuilder::new();
     let mut var_of: Vec<Option<Lit>> = vec![None; ground.atoms.len()];
     for &id in candidate.ids() {
@@ -194,7 +361,8 @@ pub fn find_instability_witness(
             builder.force(l);
         }
     }
-    // (s < p): at least one non-database atom of M is missing from J.
+    // (s < p): at least one non-database atom of M is missing from J.  The
+    // clause is empty when M ⊆ D: no proper subset of M contains D.
     let strict: Vec<Lit> = candidate
         .ids()
         .iter()
@@ -203,34 +371,14 @@ pub fn find_instability_witness(
         .collect();
     builder.clause(&strict);
 
-    // τ(Σ): every rule instance that *fires with respect to M's negative
-    // information* must be satisfied by J.
+    // τ(Σ): every relevant rule instance must be satisfied by J.
     let mut body: Vec<Lit> = Vec::new();
-    for rule in &ground.rules {
-        // The instance is relevant only if its positive body can lie in J ⊆ M.
-        if !rule.body_pos.iter().all(|&id| candidate.contains(id)) {
-            continue;
-        }
-        // Negative literals are evaluated over M (original predicates).
-        if rule.body_neg.iter().any(|&id| candidate.contains(id)) {
-            continue;
-        }
-        // Constants occurring only negatively must lie in dom(M).
-        let in_dom_m = |t: &Term| index.atoms_with(t).iter().any(|&id| candidate.contains(id));
-        if !rule.neg_domain_terms.iter().all(in_dom_m) {
-            continue;
-        }
+    for rule in relevant {
         body.clear();
         body.extend(rule.body_pos.iter().map(|&id| lit(id)));
-        // Existential witnesses range over dom(M): only disjuncts entirely
-        // inside M can be used by J.
-        let inside = rule
-            .disjuncts
-            .iter()
-            .filter(|disjunct| disjunct.iter().all(|&id| candidate.contains(id)));
         builder.rule(
             &body,
-            inside.map(|disjunct| disjunct.iter().map(|&id| lit(id))),
+            inside(rule, candidate).map(|disjunct| disjunct.iter().map(|&id| lit(id))),
         );
     }
 
@@ -300,7 +448,9 @@ pub fn is_stable_model_disjunctive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntgd_core::{atom, cst, Term};
+    use crate::grounding::AtomTable;
+    use crate::universe::build_domain;
+    use ntgd_core::{atom, cst, Atom, Term};
     use ntgd_parser::{parse_database, parse_program};
 
     /// Example 1's program.
@@ -314,6 +464,191 @@ mod tests {
             )
             .unwrap(),
         )
+    }
+
+    /// Deterministic xorshift64* generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.next() % 100 < percent
+        }
+    }
+
+    /// A random ground program over atoms `p0(c0), p1(c1), p2(c2), p3(c0), …`:
+    /// facts, negation (on possibly-true atoms and on the last atom, which is
+    /// not possibly true), negated-only terms (`c3` occurs in no atom),
+    /// zero-disjunct instances and multi-atom disjuncts.
+    fn random_ground(rng: &mut Rng) -> GroundSmsProgram {
+        let n = 4 + rng.below(6);
+        let mut atoms = AtomTable::new();
+        for i in 0..n {
+            atoms.intern(atom(&format!("p{i}"), vec![cst(&format!("c{}", i % 3))]));
+        }
+        let mut possibly_true = vec![true; n];
+        possibly_true[n - 1] = false;
+        let true_atom = |rng: &mut Rng| rng.below(n - 1);
+        let mut facts: Vec<usize> = (0..1 + rng.below(2)).map(|_| true_atom(rng)).collect();
+        facts.sort_unstable();
+        facts.dedup();
+        let rules = (0..2 + rng.below(7))
+            .map(|source_rule| {
+                let body_pos = (0..rng.below(3)).map(|_| true_atom(rng)).collect();
+                let body_neg = (0..rng.below(2)).map(|_| rng.below(n)).collect();
+                let neg_domain_terms = if rng.chance(20) {
+                    vec![cst(&format!("c{}", rng.below(4)))]
+                } else {
+                    Vec::new()
+                };
+                let disjuncts = (0..rng.below(4))
+                    .map(|_| (0..1 + rng.below(2)).map(|_| true_atom(rng)).collect())
+                    .collect();
+                GroundSmsRule {
+                    body_pos,
+                    body_neg,
+                    neg_domain_terms,
+                    disjuncts,
+                    source_rule,
+                }
+            })
+            .collect();
+        GroundSmsProgram {
+            atoms,
+            possibly_true,
+            facts,
+            rules,
+            domain: Domain::from_terms((0..4).map(|c| cst(&format!("c{c}")))),
+            closure: Interpretation::new(),
+        }
+    }
+
+    /// The least-model verdict and both answers for one candidate.
+    fn both_checks(
+        ground: &GroundSmsProgram,
+        candidate: &AtomSet,
+    ) -> (LeastModel, Option<AtomSet>, Option<AtomSet>) {
+        let index = GroundIndex::new(ground);
+        let relevant = relevant_instances(ground, &index, candidate);
+        (
+            least_model(ground, candidate, &relevant),
+            find_instability_witness(ground, &index, candidate),
+            sat_instability_witness(ground, &index, candidate, &relevant),
+        )
+    }
+
+    #[test]
+    fn the_least_model_pass_agrees_with_sat_on_random_groundings() {
+        let mut rng = Rng(0x5eed_57ab);
+        let mut verdicts: HashMap<String, usize> = HashMap::new();
+        for _ in 0..3_000 {
+            let ground = random_ground(&mut rng);
+            let n = ground.atoms.len();
+            for _ in 0..6 {
+                let members: Vec<usize> = (0..n - 1)
+                    .filter(|&id| {
+                        let percent = if ground.facts.contains(&id) { 90 } else { 50 };
+                        rng.chance(percent)
+                    })
+                    .collect();
+                let candidate = AtomSet::from_sorted(members, n);
+                let (verdict, witness, sat) = both_checks(&ground, &candidate);
+                assert_eq!(witness, sat, "{ground:?} with candidate {candidate:?}");
+                if verdict.proves_stable() {
+                    assert_eq!(sat, None, "{ground:?} with candidate {candidate:?}");
+                }
+                *verdicts.entry(format!("{verdict:?}")).or_default() += 1;
+            }
+        }
+        // Every branch of the pass was exercised.
+        assert_eq!(verdicts.len(), 4, "{verdicts:?}");
+    }
+
+    /// Grounds `database` and `rules` and checks the candidate `atoms`: the
+    /// least-model verdict, and the answer both checks agree on.
+    fn check(database: &str, rules: &str, atoms: &[Atom]) -> (LeastModel, Option<AtomSet>) {
+        let db = parse_database(database).unwrap();
+        let program = ntgd_parser::parse_unit(rules)
+            .unwrap()
+            .disjunctive_program()
+            .unwrap();
+        let domain = build_domain(&db, &program, None, crate::NullBudget::None);
+        let ground = ground_sms(&db, &program, &domain, &GroundingLimits::default()).unwrap();
+        let mut ids: Vec<usize> = atoms
+            .iter()
+            .map(|a| ground.atoms.id_of(a).expect("a ground atom"))
+            .collect();
+        ids.sort_unstable();
+        let candidate = AtomSet::from_sorted(ids, ground.atoms.len());
+        let (verdict, witness, sat) = both_checks(&ground, &candidate);
+        assert_eq!(witness, sat);
+        (verdict, witness)
+    }
+
+    #[test]
+    fn a_least_model_equal_to_the_candidate_proves_stability() {
+        let (verdict, witness) = check(
+            "p(a).",
+            "p(X) -> q(X). q(X), not r(X) -> s(X).",
+            &[
+                atom("p", vec![cst("a")]),
+                atom("q", vec![cst("a")]),
+                atom("s", vec![cst("a")]),
+            ],
+        );
+        assert_eq!(verdict, LeastModel::EqualsCandidate);
+        assert_eq!(witness, None);
+    }
+
+    #[test]
+    fn a_firing_constraint_proves_stability() {
+        // r(a) is left out of the candidate, so the instance p(a) -> r(a)
+        // has no disjunct inside it: no J ⊆ M satisfies it.
+        let (verdict, witness) = check(
+            "p(a).",
+            "p(X) -> q(X). p(X) -> r(X).",
+            &[atom("p", vec![cst("a")]), atom("q", vec![cst("a")])],
+        );
+        assert_eq!(verdict, LeastModel::ViolatesConstraint);
+        assert_eq!(witness, None);
+    }
+
+    #[test]
+    fn a_smaller_least_model_falls_back_to_sat() {
+        // Section 3.3's J = {p(0), t(0)}: t(0) blocks the first rule and r(0)
+        // is false, so nothing derives t(0).
+        let (verdict, witness) = check(
+            "p(0).",
+            "p(X), not t(X) -> r(X). r(X) -> t(X).",
+            &[atom("p", vec![cst("0")]), atom("t", vec![cst("0")])],
+        );
+        assert_eq!(verdict, LeastModel::ProperSubset);
+        assert!(witness.is_some());
+    }
+
+    #[test]
+    fn a_disjunctive_reduct_falls_back_to_sat() {
+        let (verdict, witness) = check(
+            "node(v).",
+            "node(X) -> red(X) | green(X).",
+            &[
+                atom("node", vec![cst("v")]),
+                atom("red", vec![cst("v")]),
+                atom("green", vec![cst("v")]),
+            ],
+        );
+        assert_eq!(verdict, LeastModel::NotHorn);
+        assert!(witness.is_some());
     }
 
     #[test]
