@@ -480,8 +480,7 @@ fn main() {
         }
         let instrumented = median_of(&mut on_samples);
         let disabled = median_of(&mut off_samples);
-        let speedup =
-            disabled.as_secs_f64() / instrumented.as_secs_f64().max(f64::MIN_POSITIVE);
+        let speedup = disabled.as_secs_f64() / instrumented.as_secs_f64().max(f64::MIN_POSITIVE);
         let overhead_pct = (1.0 / speedup.max(f64::MIN_POSITIVE) - 1.0) * 100.0;
         println!(
             "matcher/obs_overhead: instrumented {instrumented:?}, disabled {disabled:?}, speedup {speedup:.2}x ({overhead_pct:+.1}% overhead), {on_atoms} atoms"
@@ -722,8 +721,7 @@ fn main() {
         });
         let inherited = median_duration(40, || classify_fleet(false));
         let reclassified = median_duration(40, || classify_fleet(true));
-        let speedup =
-            reclassified.as_secs_f64() / inherited.as_secs_f64().max(f64::MIN_POSITIVE);
+        let speedup = reclassified.as_secs_f64() / inherited.as_secs_f64().max(f64::MIN_POSITIVE);
         println!(
             "matcher/classes_landscape: classify-once {inherited:?}, per-LOAD {reclassified:?}, speedup {speedup:.1}x over a {FLEET}-session fleet, {memberships} memberships across {} families",
             families.len()

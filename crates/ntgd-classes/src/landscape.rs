@@ -331,9 +331,8 @@ mod tests {
         assert!(!triangular.frontier_guarded);
 
         // Out of fragment: existential recursion with an unguardable join.
-        let out = classify(
-            &parse_program("e(X, Y), e(Y, Z) -> e(X, Z). e(X, Y) -> e(Y, W).").unwrap(),
-        );
+        let out =
+            classify(&parse_program("e(X, Y), e(Y, Z) -> e(X, Z). e(X, Y) -> e(Y, W).").unwrap());
         assert_eq!(out.verdict(), ClassVerdict::OutOfFragment);
         assert_eq!(out.verdict().label(), "out-of-fragment");
         assert_eq!(ClassVerdict::Terminating.label(), "terminating");

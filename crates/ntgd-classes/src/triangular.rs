@@ -19,9 +19,9 @@ use ntgd_core::{Ntgd, Program, Symbol, Term};
 /// Returns `true` if the two variables occur together in some positive body
 /// atom of the rule.
 fn some_atom_covers_pair(rule: &Ntgd, a: Symbol, b: Symbol) -> bool {
-    rule.body_positive().iter().any(|atom| {
-        atom.args().contains(&Term::Var(a)) && atom.args().contains(&Term::Var(b))
-    })
+    rule.body_positive()
+        .iter()
+        .any(|atom| atom.args().contains(&Term::Var(a)) && atom.args().contains(&Term::Var(b)))
 }
 
 /// Returns `true` if every pair of distinct frontier variables of the rule

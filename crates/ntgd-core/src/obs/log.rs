@@ -166,7 +166,12 @@ fn escape_into(out: &mut String, text: &str) {
 
 /// Renders one event as its JSON line (no trailing newline).  Pure, so
 /// wire-format tests can assert exact bytes.
-pub fn format_event(ts_ms: u64, level: Level, event: &str, fields: &[(&str, FieldValue)]) -> String {
+pub fn format_event(
+    ts_ms: u64,
+    level: Level,
+    event: &str,
+    fields: &[(&str, FieldValue)],
+) -> String {
     let mut line = String::with_capacity(96);
     let _ = write!(line, "{{\"ts_ms\":{ts_ms},\"level\":\"{}\"", level.label());
     line.push_str(",\"event\":\"");

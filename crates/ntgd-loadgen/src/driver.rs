@@ -399,7 +399,10 @@ mod tests {
                 p99_ns: 50
             }
         );
-        assert_eq!(samples[verb_index(Verb::Query)], ServerVerbSample::default());
+        assert_eq!(
+            samples[verb_index(Verb::Query)],
+            ServerVerbSample::default()
+        );
     }
 
     #[test]

@@ -435,8 +435,10 @@ mod tests {
         let json = render_json(&report, "cmd", 42, None);
         assert!(json.contains("\"server_requests\": 2, \"server_p99_us\": 2.5"));
         // A verb the server never observed carries no server fields.
-        assert!(!render_json(&report_with(Verb::Query, &[1_000]), "cmd", 42, None)
-            .contains("server_p99_us"));
+        assert!(
+            !render_json(&report_with(Verb::Query, &[1_000]), "cmd", 42, None)
+                .contains("server_p99_us")
+        );
     }
 
     #[test]

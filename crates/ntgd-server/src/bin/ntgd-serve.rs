@@ -52,8 +52,8 @@ fn main() -> ExitCode {
                     "--max-models" => config.max_models = value,
                     "--max-sessions" => config.max_sessions = Some(value).filter(|&cap| cap > 0),
                     _ => {
-                        config.idle_timeout = (value > 0)
-                            .then(|| std::time::Duration::from_millis(value as u64))
+                        config.idle_timeout =
+                            (value > 0).then(|| std::time::Duration::from_millis(value as u64))
                     }
                 }
             }

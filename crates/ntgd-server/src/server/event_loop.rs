@@ -225,10 +225,9 @@ fn shard_loop(
         } else {
             // Cap the wait by the idle timeout so reaping is not quantised
             // to the 200ms poll cadence when the operator asked for less.
-            idle_timeout
-                .map_or(Duration::from_millis(200), |idle| {
-                    idle.min(Duration::from_millis(200))
-                })
+            idle_timeout.map_or(Duration::from_millis(200), |idle| {
+                idle.min(Duration::from_millis(200))
+            })
         };
         let wait_failed = {
             let _poll = obs::span("server.poll");

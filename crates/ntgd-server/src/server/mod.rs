@@ -277,7 +277,9 @@ fn next_conn(
                                     ("kind", FieldValue::from(format!("{:?}", err.kind()))),
                                     (
                                         "errno",
-                                        FieldValue::from(i64::from(err.raw_os_error().unwrap_or(0))),
+                                        FieldValue::from(i64::from(
+                                            err.raw_os_error().unwrap_or(0),
+                                        )),
                                     ),
                                     ("backoff_ms", FieldValue::from(delay.as_millis() as u64)),
                                 ],
@@ -324,9 +326,7 @@ static FLEET_BUDGET_EVENTS: RateLimit = RateLimit::new(Duration::from_secs(1));
 /// `stats`.
 fn admit(stream: &TcpStream, stats: &ConnStats, config: &SessionConfig) -> bool {
     let active = stats.active.load(Ordering::Relaxed);
-    let over_cap = config
-        .max_sessions
-        .is_some_and(|cap| active >= cap as u64);
+    let over_cap = config.max_sessions.is_some_and(|cap| active >= cap as u64);
     let over_fleet_budget = config.session_budget.is_some_and(|budget| {
         let cap_ms = match budget {
             SessionBudget::Reject(ms) | SessionBudget::Warn(ms) => ms,

@@ -607,13 +607,10 @@ impl Session {
         // and null budgets.  Disjunctive payloads are classified through
         // their positive-conjunctive transform — the program the chase and
         // the `Auto` domain probe actually run on.
-        let class = self
-            .config
-            .classify
-            .then(|| match &normal {
-                Some(program) => ProgramClass::of(program),
-                None => ProgramClass::of(&disjunctive.positive_conjunctive_part()),
-            });
+        let class = self.config.classify.then(|| match &normal {
+            Some(program) => ProgramClass::of(program),
+            None => ProgramClass::of(&disjunctive.positive_conjunctive_part()),
+        });
         let chase = match &normal {
             Some(program) => {
                 match IncrementalChase::new(program, chase_config_for(class.as_ref(), &self.config))
@@ -1324,7 +1321,10 @@ mod tests {
             .map(|m| format!("MODEL {m}"))
             .collect();
         expected.sort();
-        assert!(expected.iter().any(|line| line.contains("_n")), "{expected:?}");
+        assert!(
+            expected.iter().any(|line| line.contains("_n")),
+            "{expected:?}"
+        );
         for incremental_models in [true, false] {
             let mut session = Session::new(SessionConfig {
                 incremental_models,

@@ -413,7 +413,10 @@ fn warn_fleet_budget_admits_new_connections_on_both_transports() {
         let mut writer = stream;
         let mut line = String::new();
         reader.read_line(&mut line).expect("banner");
-        assert!(line.starts_with("READY"), "warn budget admits: {transport:?}");
+        assert!(
+            line.starts_with("READY"),
+            "warn budget admits: {transport:?}"
+        );
         writeln!(writer, "PING").expect("request");
         line.clear();
         reader.read_line(&mut line).expect("pong");

@@ -201,7 +201,10 @@ fn warn_budget_keeps_serving() {
 
 #[test]
 fn budget_values_parse_like_the_environment_variable() {
-    assert_eq!(SessionBudget::parse("250"), Some(SessionBudget::Reject(250)));
+    assert_eq!(
+        SessionBudget::parse("250"),
+        Some(SessionBudget::Reject(250))
+    );
     assert_eq!(
         SessionBudget::parse("warn: 90"),
         Some(SessionBudget::Warn(90))
