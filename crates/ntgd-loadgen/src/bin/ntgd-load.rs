@@ -8,13 +8,8 @@
 //!   --addr <host:port>    drive an external ntgd-serve (default: in-process)
 //!   --bench               also run a caches-off server and record per-verb
 //!                         speedups (in-process only)
-//!   --transport-bench     run the evented and the threaded connection layer
-//!                         back to back (both cached, in-process only) and
-//!                         record the total-wall speedup of evented vs
-//!                         threaded
 //!   --rounds <n>          repeat runs and report the median (default 1,
-//!                         or 5 with --bench/--transport-bench;
-//!                         env NTGD_LOAD_ROUNDS)
+//!                         or 5 with --bench; env NTGD_LOAD_ROUNDS)
 //!   --out <path>          report file (default BENCH_server.json; "-" for
 //!                         stdout only)
 //!   --slo [verb:]q=<dur>  latency SLO, e.g. p99=5ms or assert:max=50ms;
@@ -32,7 +27,6 @@ use std::process::ExitCode;
 use ntgd_loadgen::driver::{self, ServerMode};
 use ntgd_loadgen::report::{self, RunReport, SloRule};
 use ntgd_loadgen::{generate, WorkloadSpec};
-use ntgd_server::Transport;
 
 struct Args {
     spec_path: String,
@@ -40,7 +34,6 @@ struct Args {
     sessions: Option<usize>,
     addr: Option<String>,
     bench: bool,
-    transport_bench: bool,
     rounds: Option<usize>,
     out: String,
     slos: Vec<SloRule>,
@@ -50,7 +43,7 @@ struct Args {
 
 fn usage() -> &'static str {
     "usage: ntgd-load --spec <file> [--seed N] [--sessions N] [--addr host:port] \
-     [--bench | --transport-bench] [--rounds N] [--out path] \
+     [--bench] [--rounds N] [--out path] \
      [--slo [verb:]metric=duration]... [--report-only] [--print-ops]"
 }
 
@@ -61,7 +54,6 @@ fn parse_args() -> Result<Args, String> {
         sessions: None,
         addr: None,
         bench: false,
-        transport_bench: false,
         rounds: None,
         out: "BENCH_server.json".to_owned(),
         slos: Vec::new(),
@@ -91,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--addr" => args.addr = Some(value("--addr")?),
             "--bench" => args.bench = true,
-            "--transport-bench" => args.transport_bench = true,
             "--rounds" => {
                 let n: usize = value("--rounds")?
                     .parse()
@@ -115,11 +106,8 @@ fn parse_args() -> Result<Args, String> {
     if args.spec_path.is_empty() {
         return Err("--spec is required".to_owned());
     }
-    if (args.bench || args.transport_bench) && args.addr.is_some() {
-        return Err("--bench/--transport-bench need an in-process server; drop --addr".to_owned());
-    }
-    if args.bench && args.transport_bench {
-        return Err("--bench and --transport-bench are mutually exclusive".to_owned());
+    if args.bench && args.addr.is_some() {
+        return Err("--bench needs an in-process server; drop --addr".to_owned());
     }
     if args.rounds.is_none() {
         if let Ok(rounds) = std::env::var("NTGD_LOAD_ROUNDS") {
@@ -144,17 +132,13 @@ fn run_rounds(
     addr: &Option<String>,
     mode: ServerMode,
     rounds: usize,
-    transport: Option<Transport>,
 ) -> Result<Vec<RunReport>, String> {
     (0..rounds)
         .map(|_| match addr {
             Some(addr) => driver::run(workload, addr),
             None => {
-                let server = match transport {
-                    Some(transport) => driver::spawn_server_on(mode, transport),
-                    None => driver::spawn_server(mode),
-                }
-                .map_err(|e| format!("cannot spawn server: {e}"))?;
+                let server =
+                    driver::spawn_server(mode).map_err(|e| format!("cannot spawn server: {e}"))?;
                 let report = driver::run(workload, server.addr());
                 server
                     .shutdown()
@@ -193,13 +177,7 @@ fn real_main() -> Result<ExitCode, String> {
         println!("# fingerprint={:#018x}", workload.fingerprint());
         return Ok(ExitCode::SUCCESS);
     }
-    let rounds = args
-        .rounds
-        .unwrap_or(if args.bench || args.transport_bench {
-            5
-        } else {
-            1
-        });
+    let rounds = args.rounds.unwrap_or(if args.bench { 5 } else { 1 });
     println!(
         "ntgd-load: workload {} (family {}, seed {}): {} sessions x {} ops, {} round(s){}",
         spec.name,
@@ -210,28 +188,14 @@ fn real_main() -> Result<ExitCode, String> {
         rounds,
         if args.bench {
             " + caches-off baseline"
-        } else if args.transport_bench {
-            " + threaded-transport baseline"
         } else {
             ""
         },
     );
-    // --transport-bench pins the measured run to the evented transport;
-    // everything else follows NTGD_TRANSPORT (default evented).
-    let pinned = args.transport_bench.then_some(Transport::Evented);
-    let cached = run_rounds(&workload, &args.addr, ServerMode::Cached, rounds, pinned)?;
+    let cached = run_rounds(&workload, &args.addr, ServerMode::Cached, rounds)?;
     let speedups = if args.bench {
-        let uncached = run_rounds(&workload, &args.addr, ServerMode::FromScratch, rounds, None)?;
+        let uncached = run_rounds(&workload, &args.addr, ServerMode::FromScratch, rounds)?;
         Some(report::speedups(&cached, &uncached))
-    } else if args.transport_bench {
-        let threaded = run_rounds(
-            &workload,
-            &args.addr,
-            ServerMode::Cached,
-            rounds,
-            Some(Transport::Threaded),
-        )?;
-        Some(report::transport_speedups(&cached, &threaded))
     } else {
         None
     };
@@ -273,29 +237,20 @@ fn real_main() -> Result<ExitCode, String> {
         );
     }
     if let Some(speedups) = &speedups {
-        let baseline = if args.transport_bench {
-            "vs threaded transport"
-        } else {
-            "vs caches-off"
-        };
+        let baseline = "vs caches-off";
         for (label, ratio) in &speedups.verbs {
             println!("  speedup    {label:<10} {ratio:.1}x {baseline}");
         }
         println!("  speedup    total      {:.1}x {baseline}", speedups.total);
     }
     let command = format!(
-        "cargo run --release -p ntgd-loadgen --bin ntgd-load -- --spec {}{}{}{}{}",
+        "cargo run --release -p ntgd-loadgen --bin ntgd-load -- --spec {}{}{}{}",
         args.spec_path,
         match args.sessions {
             Some(n) => format!(" --sessions {n}"),
             None => String::new(),
         },
         if args.bench { " --bench" } else { "" },
-        if args.transport_bench {
-            " --transport-bench"
-        } else {
-            ""
-        },
         match args.rounds {
             Some(n) => format!(" --rounds {n}"),
             None => String::new(),

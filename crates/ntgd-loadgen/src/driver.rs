@@ -12,9 +12,7 @@
 //! an in-process one ([`spawn_server`]): the same serving loop the
 //! `ntgd-serve` binary runs, on an OS-assigned loopback port.  In-process
 //! targets are what `--bench` uses, since it must control the server's
-//! caching configuration ([`ServerMode`]) — and what `--transport-bench`
-//! uses via [`spawn_server_on`], which pins the connection transport.  The
-//! returned [`LoadServer`] owns the server's [`ServeHandle`], so each
+//! caching configuration ([`ServerMode`]).  The returned [`LoadServer`] owns the server's [`ServeHandle`], so each
 //! `--rounds` round shuts its server down cleanly instead of leaking an
 //! acceptor thread and listener per round.
 
@@ -23,7 +21,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use ntgd_server::{serve, BaseRegistry, ServeHandle, SessionConfig, Transport};
+use ntgd_server::{serve, BaseRegistry, ServeHandle, SessionConfig};
 
 use crate::generator::{Verb, Workload};
 use crate::histogram::Histogram;
@@ -70,20 +68,12 @@ impl LoadServer {
     }
 }
 
-/// Starts an in-process server on an OS-assigned loopback port, on the
-/// environment-selected transport (`NTGD_TRANSPORT`, default evented).
+/// Starts an in-process server on an OS-assigned loopback port.
 pub fn spawn_server(mode: ServerMode) -> std::io::Result<LoadServer> {
-    spawn_server_on(mode, Transport::from_env())
-}
-
-/// Starts an in-process server on an explicit transport (what
-/// `--transport-bench` uses to compare evented vs threaded on one process).
-pub fn spawn_server_on(mode: ServerMode, transport: Transport) -> std::io::Result<LoadServer> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let config = SessionConfig {
         incremental_models: mode == ServerMode::Cached,
         base_registry: (mode == ServerMode::Cached).then(|| Arc::new(BaseRegistry::new())),
-        transport,
         ..SessionConfig::default()
     };
     let handle = serve(listener, config)?;

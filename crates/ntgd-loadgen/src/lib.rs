@@ -36,13 +36,12 @@ pub mod report;
 pub mod spec;
 
 pub use driver::{
-    fetch_server_metrics, fetch_server_requests, run, spawn_server, spawn_server_on, LoadServer,
-    ServerMode, ServerVerbSample,
+    fetch_server_metrics, fetch_server_requests, run, spawn_server, LoadServer, ServerMode,
+    ServerVerbSample,
 };
 pub use generator::{generate, Operation, Verb, Workload};
 pub use histogram::Histogram;
 pub use report::{
-    render_json, speedups, transport_speedups, RunReport, ServerSpeedups, ServerVerbReport,
-    SloRule, VerbReport,
+    render_json, speedups, RunReport, ServerSpeedups, ServerVerbReport, SloRule, VerbReport,
 };
 pub use spec::{Distribution, Family, SpecError, WorkloadSpec};

@@ -208,22 +208,6 @@ pub fn speedups(cached: &[RunReport], uncached: &[RunReport]) -> ServerSpeedups 
     }
 }
 
-/// Computes the `--transport-bench` comparison: evented vs threaded
-/// transport, both fully cached, total-wall ratio only (threaded median
-/// wall / evented median wall — above 1.0 the evented loop is faster).
-/// Per-verb ratios are definitionally noise here — a request executes
-/// identical session code on both transports; only scheduling differs — so
-/// no verb rows are emitted and the gateable signal is the end-to-end wall
-/// of a sessions ≫ cores workload, where thread-per-connection pays its
-/// scheduler price.
-pub fn transport_speedups(evented: &[RunReport], threaded: &[RunReport]) -> ServerSpeedups {
-    let wall = |rounds: &[RunReport]| median(rounds.iter().map(|r| r.wall_ns as f64).collect());
-    ServerSpeedups {
-        verbs: Vec::new(),
-        total: wall(threaded) / wall(evented).max(f64::MIN_POSITIVE),
-    }
-}
-
 /// The latency metric an SLO constrains.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SloMetric {

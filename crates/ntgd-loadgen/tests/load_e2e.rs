@@ -11,10 +11,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use ntgd_loadgen::{
-    fetch_server_requests, generate, run, spawn_server, spawn_server_on, ServerMode, Verb,
-    WorkloadSpec,
+    fetch_server_requests, generate, run, spawn_server, ServerMode, Verb, WorkloadSpec,
 };
-use ntgd_server::Transport;
 
 fn spec(text: &str) -> WorkloadSpec {
     WorkloadSpec::parse(text).expect("inline spec parses")
@@ -192,32 +190,30 @@ fn server_requests_counter_is_monotone_over_stats_probes() {
 
 #[test]
 fn shutdown_stops_both_transports_without_leaking() {
-    for transport in [Transport::Evented, Transport::Threaded] {
-        let workload = generate(&small_chain());
-        let server = spawn_server_on(ServerMode::Cached, transport).expect("spawn server");
-        let addr = server.addr().to_string();
-        run(&workload, &addr).expect("run before shutdown");
-        server.shutdown().expect("graceful shutdown");
-        // The listener is closed: a fresh connect must fail (or be accepted
-        // by nobody — connect_timeout covers the race where the backlog
-        // still has room but nothing ever serves the socket).
-        let socket_addr = addr.parse().expect("loopback addr parses");
-        match TcpStream::connect_timeout(&socket_addr, Duration::from_millis(200)) {
-            Err(_) => {}
-            Ok(stream) => {
-                // If the kernel still completed the handshake, no banner may
-                // ever arrive: the server threads are gone.
-                stream
-                    .set_read_timeout(Some(Duration::from_millis(200)))
-                    .expect("set timeout");
-                let mut buf = [0u8; 8];
-                use std::io::Read;
-                let got = (&stream).read(&mut buf);
-                assert!(
-                    matches!(got, Ok(0) | Err(_)),
-                    "post-shutdown connection produced data: {got:?}"
-                );
-            }
+    let workload = generate(&small_chain());
+    let server = spawn_server(ServerMode::Cached).expect("spawn server");
+    let addr = server.addr().to_string();
+    run(&workload, &addr).expect("run before shutdown");
+    server.shutdown().expect("graceful shutdown");
+    // The listener is closed: a fresh connect must fail (or be accepted by
+    // nobody — connect_timeout covers the race where the backlog still has
+    // room but nothing ever serves the socket).
+    let socket_addr = addr.parse().expect("loopback addr parses");
+    match TcpStream::connect_timeout(&socket_addr, Duration::from_millis(200)) {
+        Err(_) => {}
+        Ok(stream) => {
+            // If the kernel still completed the handshake, no banner may
+            // ever arrive: the server threads are gone.
+            stream
+                .set_read_timeout(Some(Duration::from_millis(200)))
+                .expect("set timeout");
+            let mut buf = [0u8; 8];
+            use std::io::Read;
+            let got = (&stream).read(&mut buf);
+            assert!(
+                matches!(got, Ok(0) | Err(_)),
+                "post-shutdown connection produced data: {got:?}"
+            );
         }
     }
 }

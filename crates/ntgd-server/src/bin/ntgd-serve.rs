@@ -4,13 +4,11 @@
 //! ntgd-serve [--repl]                          # one session on stdin/stdout
 //! ntgd-serve --listen 127.0.0.1:7171           # one session per TCP connection
 //!            [--max-steps N] [--max-models N]  # session limits
-//!            [--transport evented|threaded]    # connection layer (default:
-//!                                              #   NTGD_TRANSPORT, then evented)
 //!            [--max-sessions N]                # admission cap (default:
 //!                                              #   NTGD_MAX_SESSIONS, then none)
 //!            [--idle-timeout MS]               # reap silent connections
 //!                                              #   (default: NTGD_IDLE_TIMEOUT,
-//!                                              #   then never; evented only)
+//!                                              #   then never; TCP only)
 //! ```
 //!
 //! In TCP mode the bound address is announced on stdout as
@@ -21,11 +19,11 @@
 use std::net::TcpListener;
 use std::process::ExitCode;
 
-use ntgd_server::{serve_repl, serve_tcp, BaseRegistry, SessionConfig, Transport};
+use ntgd_server::{serve_repl, serve_tcp, BaseRegistry, SessionConfig};
 
 fn usage() -> &'static str {
     "usage: ntgd-serve [--repl | --listen <addr>] [--max-steps N] [--max-models N] \
-     [--transport evented|threaded] [--max-sessions N] [--idle-timeout MS]"
+     [--max-sessions N] [--idle-timeout MS]"
 }
 
 fn main() -> ExitCode {
@@ -56,13 +54,6 @@ fn main() -> ExitCode {
                             (value > 0).then(|| std::time::Duration::from_millis(value as u64))
                     }
                 }
-            }
-            "--transport" => {
-                let Some(transport) = args.next().as_deref().and_then(Transport::parse) else {
-                    eprintln!("--transport needs 'evented' or 'threaded'\n{}", usage());
-                    return ExitCode::FAILURE;
-                };
-                config.transport = transport;
             }
             "--help" | "-h" => {
                 println!("{}", usage());

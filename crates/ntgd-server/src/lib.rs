@@ -12,16 +12,18 @@
 //! The `ntgd-serve` binary exposes sessions in two std-only transports:
 //!
 //! * **TCP** (`ntgd-serve --listen 127.0.0.1:7171`): one session per
-//!   connection.  The connection layer is **event-driven** by default —
+//!   connection.  The connection layer is **event-driven** —
 //!   sessions are `Send`-able state machines owned by non-blocking
 //!   [`Conn`]s on sharded poller threads, with ready batches executing on
 //!   the persistent `ntgd_core::parallel` pool (per-session serial,
 //!   cross-session parallel), so one process holds thousands of live
-//!   sessions without one OS thread each.  `NTGD_TRANSPORT=threaded`
-//!   selects the historical thread-per-connection path, kept for
-//!   differential testing; transcripts are byte-identical across both.
-//!   `NTGD_MAX_SESSIONS` caps live sessions (over the cap: one
-//!   `ERR server at capacity` line, no banner).  [`serve`] returns a
+//!   sessions without one OS thread each.  Every connection's buffers are
+//!   bounded: a request line may be up to [`MAX_LINE`] bytes, and a client
+//!   that stops reading stalls instead of growing server memory.  A TCP
+//!   transcript is byte-identical to the same script run through
+//!   [`handle_session`] in memory.  `NTGD_MAX_SESSIONS` caps live
+//!   sessions (over the cap: one `ERR server at capacity` line, no
+//!   banner).  [`serve`] returns a
 //!   [`ServeHandle`] for graceful shutdown; [`serve_tcp`] blocks.
 //! * **REPL** (`ntgd-serve` or `--repl`): a single session on
 //!   stdin/stdout ([`serve_repl`]) — also what the CI smoke test scripts.
@@ -71,7 +73,7 @@
 //! LOAD …        →  OK rules=<r> facts=<f> atoms=<n> mark=0
 //! ASSERT …      →  OK mark=<k> added=<a> derived=<d> atoms=<n>
 //! QUERY …       →  ANSWER <t1>, <t2>, …   (one line per certain answer)
-//!                  OK answers=<n> dropped=<d>      ; d = null-bound tuples
+//!                  OK answers=<n>      ; null-bound tuples are dropped
 //! MODELS …      →  MODEL {<atoms>}  (one line per model, lines sorted;
 //!                  atoms sorted in symbol-intern order)
 //!                  OK models=<m> mode=<sms|lp>
@@ -225,6 +227,6 @@ pub use protocol::{parse_command, Command, ModelsMode, Response, StatsScope, HEL
 pub use registry::{BaseEntry, BaseKey, BaseRegistry, BaseStats};
 pub use server::{
     handle_session, serve, serve_repl, serve_tcp, Conn, ConnSnapshot, ConnStats, LineBuffer,
-    ServeHandle, Transport,
+    ServeHandle, MAX_LINE,
 };
 pub use session::{server_requests, Session, SessionBudget, SessionConfig};

@@ -4,12 +4,11 @@
 //!
 //! # Shape
 //!
-//! One **acceptor** thread blocks in `accept` (sharing the backoff and
-//! admission policy of `server::mod` with the threaded transport), wraps
-//! each admitted socket in a [`Conn`] — non-blocking, banner queued — and
-//! hands it round-robin to one of a few **shard** threads through a
-//! mutex-protected inbox, waking the shard via a loopback [`Waker`] socket
-//! registered in its poller.
+//! One **acceptor** thread blocks in `accept` (with the backoff and
+//! admission policy of `server::mod`), wraps each admitted socket in a
+//! [`Conn`] — non-blocking, banner queued — and hands it round-robin to one
+//! of a few **shard** threads through a mutex-protected inbox, waking the
+//! shard via a loopback [`Waker`] socket registered in its poller.
 //!
 //! Each shard runs a readiness loop ([`Poller`]: `epoll` on Linux, portable
 //! scan fallback): readable sockets are drained into their connection's
@@ -26,10 +25,15 @@
 //! stays runnable and the next round polls with a zero timeout.
 //!
 //! Write-side: responses accumulate in the connection's write buffer,
-//! flushed opportunistically after execution; write interest is armed only
-//! while bytes are pending.  A connection closes when its session ends
-//! (`QUIT`/EOF) and the buffer has drained, or on I/O error — identical
-//! observable semantics to the threaded transport, byte for byte.
+//! flushed opportunistically after execution.  Interest follows the
+//! connection's buffers ([`Conn::interest`]): write interest is armed only
+//! while bytes are pending, and read interest is disarmed while the
+//! connection cannot read (its output or a complete-line backlog is at the
+//! cap, or the session has ended), so the level-triggered poller never
+//! reports a socket the loop would not serve.  A connection closes when its
+//! session ends (`QUIT`/EOF, or a line over the length limit) and the
+//! buffer has drained, or on I/O error — with the framing and responses of
+//! [`handle_session`](crate::server::handle_session), byte for byte.
 
 use std::io::{self, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -190,10 +194,11 @@ static IDLE_CLOSED: obs::Counter = obs::Counter::new("server.idle_closed");
 
 /// One poller shard: owns a slab of connections, polls them, and submits
 /// ready batches to the pool.  With an idle timeout configured, each round
-/// also reaps connections whose last read activity is older than the
-/// timeout — an abandoned client releases its admission slot instead of
-/// holding it forever.  Connections with unflushed response bytes are
-/// exempt: a slow reader mid-drain is making progress, not abandoned.
+/// also reaps connections whose peer has neither sent nor accepted bytes
+/// for longer than the timeout — an abandoned client releases its admission
+/// slot instead of holding it forever.  A slow reader mid-drain keeps
+/// accepting bytes, so it is making progress, not abandoned; a client that
+/// stopped reading with output parked at the cap is reaped.
 fn shard_loop(
     waker_rx: TcpStream,
     inbox: &Mutex<Vec<Conn>>,
@@ -208,7 +213,10 @@ fn shard_loop(
             return;
         }
     };
-    if poller.register(&waker_rx, WAKER_TOKEN, false).is_err() {
+    if poller
+        .register(&waker_rx, WAKER_TOKEN, (true, false))
+        .is_err()
+    {
         eprintln!("ntgd-serve: waker registration failed");
         return;
     }
@@ -217,7 +225,8 @@ fn shard_loop(
     let mut free: Vec<usize> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
     // Whether the last round left runnable connections unexecuted (batch
-    // cap): poll without sleeping so they run next.
+    // cap, or output drained below the cap): poll without sleeping so they
+    // run next.
     let mut backlog = false;
     loop {
         let timeout = if backlog {
@@ -268,16 +277,14 @@ fn shard_loop(
                 slots.push(None);
                 slots.len() - 1
             });
-            if poller
-                .register(conn.stream(), token, conn.wants_write())
-                .is_err()
-            {
+            let interest = conn.interest();
+            if poller.register(conn.stream(), token, interest).is_err() {
                 let _ = conn.stream().shutdown(Shutdown::Both);
                 stats.disconnected();
                 free.push(token);
                 continue;
             }
-            conn.set_write_armed(conn.wants_write());
+            conn.set_armed(interest);
             slots[token] = Some(conn);
         }
         // Scheduling phase: one bounded batch of runnable sessions on the
@@ -288,8 +295,7 @@ fn shard_loop(
             .filter(|(_, slot)| slot.as_ref().is_some_and(Conn::runnable))
             .map(|(token, _)| token)
             .collect();
-        backlog = runnable.len() > EXEC_BATCH;
-        if backlog {
+        if runnable.len() > EXEC_BATCH {
             BACKLOG_ROUNDS.incr();
         }
         runnable.truncate(EXEC_BATCH);
@@ -307,9 +313,10 @@ fn shard_loop(
             let threads = parallel::threads_for(batch.len());
             parallel::par_map_mut(&mut batch, threads, |_, conn| conn.run_ready());
         }
-        // Write-back phase: flush, rearm write interest on transitions,
-        // retire finished connections, reap idle ones.
+        // Write-back phase: flush, rearm interest on transitions, retire
+        // finished connections, reap idle ones.
         let now = std::time::Instant::now();
+        backlog = false;
         for (token, slot) in slots.iter_mut().enumerate() {
             let Some(conn) = slot.as_mut() else {
                 continue;
@@ -317,13 +324,8 @@ fn shard_loop(
             if conn.wants_write() {
                 conn.flush();
             }
-            // A connection still draining a response is working, not idle —
-            // last_activity only tracks reads, so without the wants_write
-            // guard a client slowly consuming a large MODELS reply would be
-            // cut off mid-response.
-            let idle = idle_timeout.is_some_and(|timeout| {
-                !conn.runnable() && !conn.wants_write() && conn.idle_for(now) >= timeout
-            });
+            let idle = idle_timeout
+                .is_some_and(|timeout| !conn.runnable() && conn.idle_for(now) >= timeout);
             if conn.finished() || idle {
                 let finished = conn.finished();
                 let conn = slot.take().expect("slot occupied");
@@ -337,13 +339,10 @@ fn shard_loop(
                 }
                 free.push(token);
             } else {
-                let want = conn.wants_write();
-                if want != conn.write_armed()
-                    && poller
-                        .set_write_interest(conn.stream(), token, want)
-                        .is_ok()
-                {
-                    conn.set_write_armed(want);
+                backlog |= conn.runnable();
+                let want = conn.interest();
+                if want != conn.armed() && poller.set_interest(conn.stream(), token, want).is_ok() {
+                    conn.set_armed(want);
                 }
             }
         }

@@ -1,28 +1,26 @@
-//! Transports: serving sessions over TCP (evented or threaded) and a stdin
-//! REPL.
+//! Transports: serving sessions over TCP and on a stdin REPL.
 //!
-//! All transports are line pumps around [`Session::execute`]; the protocol
-//! logic lives entirely in [`crate::session`] so tests and embedders can
-//! drive a session without any I/O.  Two TCP transports exist, selected by
-//! [`SessionConfig::transport`] / `NTGD_TRANSPORT`:
+//! Both are line pumps around [`Session::execute`]; the protocol logic
+//! lives entirely in [`crate::session`] so tests and embedders can drive a
+//! session without any I/O.
 //!
-//! * **`evented`** (default, `event_loop`): a std-only readiness loop —
-//!   non-blocking sockets, sharded poller threads, sessions as [`Conn`]
-//!   state machines whose ready batches execute on the persistent
-//!   `ntgd_core::parallel` pool.  One process holds thousands of live
-//!   sessions without one OS thread each.
-//! * **`threaded`** (`threaded`): the historical one-thread-per-connection
-//!   path, kept for differential testing.
+//! * **TCP** (`event_loop`): a std-only readiness loop — non-blocking
+//!   sockets, sharded poller threads, sessions as [`Conn`] state machines
+//!   whose ready batches execute on the persistent `ntgd_core::parallel`
+//!   pool.  One process holds thousands of live sessions without one OS
+//!   thread each, and every connection's buffers are bounded (see
+//!   [`Conn`]).
+//! * **REPL** ([`serve_repl`]): [`handle_session`] over stdin/stdout.
 //!
-//! Protocol semantics and per-session transcripts are **byte-identical**
-//! across both — `tests/event_loop_e2e.rs` and the CI smoke matrix are the
-//! referee.  Both share the same admission control
-//! ([`SessionConfig::max_sessions`]: over the cap a connection gets one
-//! `ERR server at capacity` line and no banner), the same accept-error
-//! backoff policy (`AcceptBackoff`: transient errors retry immediately,
-//! resource exhaustion like EMFILE backs off exponentially instead of
-//! spinning, sustained failure is fatal), and the same [`ConnStats`]
-//! counters served by `STATS conn`.
+//! [`handle_session`] is also the transcript reference: a TCP session's
+//! transcript is byte-identical to the same script pumped through
+//! [`handle_session`] in memory — `tests/event_loop_e2e.rs` is the
+//! referee.  TCP admission control ([`SessionConfig::max_sessions`]: over
+//! the cap a connection gets one `ERR server at capacity` line and no
+//! banner), the accept-error backoff policy (`AcceptBackoff`: transient
+//! errors retry immediately, resource exhaustion like EMFILE backs off
+//! exponentially instead of spinning, sustained failure is fatal), and the
+//! [`ConnStats`] counters served by `STATS conn` live here.
 //!
 //! [`serve`] starts a server and returns a [`ServeHandle`] for graceful
 //! shutdown; [`serve_tcp`] is the blocking wrapper the `ntgd-serve` binary
@@ -31,9 +29,8 @@
 mod conn;
 mod event_loop;
 mod poller;
-mod threaded;
 
-pub use conn::{Conn, LineBuffer};
+pub use conn::{Conn, LineBuffer, MAX_LINE};
 
 use std::io::{self, BufRead, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -52,48 +49,6 @@ use crate::session::{server_exec_ns, Session, SessionBudget, SessionConfig};
 /// The banner sent when a session opens (protocol version 1).
 pub const BANNER: &str = "READY ntgd-serve protocol=1";
 
-/// Which connection transport [`serve`]/[`serve_tcp`] use.  See the module
-/// documentation; both produce byte-identical per-session transcripts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Transport {
-    /// The event-driven readiness loop (`server::event_loop`): non-blocking
-    /// sockets, sharded pollers, ready-session batches on the persistent
-    /// pool.  The default.
-    #[default]
-    Evented,
-    /// One thread per connection — the historical path, kept selectable for
-    /// differential testing.
-    Threaded,
-}
-
-impl Transport {
-    /// Parses a transport name (`evented`/`threaded`, plus common aliases).
-    pub fn parse(text: &str) -> Option<Transport> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "evented" | "event" | "epoll" => Some(Transport::Evented),
-            "threaded" | "threads" | "thread" => Some(Transport::Threaded),
-            _ => None,
-        }
-    }
-
-    /// The transport selected by `NTGD_TRANSPORT` (default: evented;
-    /// unknown values also fall back to evented).
-    pub fn from_env() -> Transport {
-        std::env::var("NTGD_TRANSPORT")
-            .ok()
-            .and_then(|value| Transport::parse(&value))
-            .unwrap_or_default()
-    }
-
-    /// The name `STATS conn` reports as `conn_transport`.
-    pub fn label(self) -> &'static str {
-        match self {
-            Transport::Evented => "evented",
-            Transport::Threaded => "threaded",
-        }
-    }
-}
-
 /// Connection-layer counters, one set per running server, reported by
 /// `STATS conn`.  Every counter is a pure function of the connection
 /// history (never of thread count or machine), so scripted
@@ -111,7 +66,7 @@ pub struct ConnStats {
 /// A point-in-time copy of [`ConnStats`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConnSnapshot {
-    /// The transport label (`evented`, `threaded`, `repl`, `embedded`).
+    /// The transport label (`evented`, `repl`, `embedded`).
     pub transport: &'static str,
     /// Connections admitted as sessions, ever.
     pub accepted: u64,
@@ -124,7 +79,7 @@ pub struct ConnSnapshot {
     /// budgets only log, never shed).
     pub rejected: u64,
     /// Connections reaped by the idle-session timeout
-    /// ([`SessionConfig::idle_timeout`], evented transport only).
+    /// ([`SessionConfig::idle_timeout`], TCP only).
     pub idle_closed: u64,
 }
 
@@ -309,7 +264,7 @@ fn fleet_over_allowance(cap_ms: u64, spent_ms: u64, accepted: u64) -> bool {
 /// the sink.
 static FLEET_BUDGET_EVENTS: RateLimit = RateLimit::new(Duration::from_secs(1));
 
-/// Admission control shared by both transports: a connection over the
+/// TCP admission control: a connection over the
 /// `max_sessions` cap — or arriving while the fleet is over its cumulative
 /// [`SessionBudget`] **reject** allowance — gets a single `ERR server at
 /// capacity` line (no banner — clients can tell rejection from a session)
@@ -439,8 +394,7 @@ impl ServeHandle {
     }
 }
 
-/// Starts serving sessions over TCP on the configured transport and returns
-/// a [`ServeHandle`] (accepting runs on background threads).  All sessions
+/// Starts serving sessions over TCP and returns a [`ServeHandle`] (accepting runs on background threads).  All sessions
 /// share the process-wide persistent worker pool of `ntgd_core::parallel` —
 /// and, when `config.base_registry` is set, one shared-base registry: the
 /// per-connection config clone clones only the `Arc`, so every session
@@ -449,34 +403,19 @@ impl ServeHandle {
 pub fn serve(listener: TcpListener, config: SessionConfig) -> io::Result<ServeHandle> {
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    let stats = Arc::new(ConnStats::new(config.transport.label()));
+    let stats = Arc::new(ConnStats::new("evented"));
     let mut config = config;
     config.conn_stats = Some(stats.clone());
-    match config.transport {
-        Transport::Threaded => {
-            let acceptor = threaded::spawn(listener, config, shutdown.clone(), stats.clone())?;
-            Ok(ServeHandle {
-                addr,
-                shutdown,
-                stats,
-                acceptor: Some(acceptor),
-                workers: Vec::new(),
-                wakers: Arc::new(Vec::new()),
-            })
-        }
-        Transport::Evented => {
-            let (acceptor, workers, wakers) =
-                event_loop::spawn(listener, config, shutdown.clone(), stats.clone())?;
-            Ok(ServeHandle {
-                addr,
-                shutdown,
-                stats,
-                acceptor: Some(acceptor),
-                workers,
-                wakers,
-            })
-        }
-    }
+    let (acceptor, workers, wakers) =
+        event_loop::spawn(listener, config, shutdown.clone(), stats.clone())?;
+    Ok(ServeHandle {
+        addr,
+        shutdown,
+        stats,
+        acceptor: Some(acceptor),
+        workers,
+        wakers,
+    })
 }
 
 /// Serves sessions over TCP until the process dies (or the accept loop hits
@@ -552,16 +491,6 @@ mod tests {
                 "OK bye" // the trailing PING is never read: QUIT closed the session
             ]
         );
-    }
-
-    #[test]
-    fn transport_parses_names_and_defaults_to_evented() {
-        assert_eq!(Transport::parse("evented"), Some(Transport::Evented));
-        assert_eq!(Transport::parse(" EPOLL "), Some(Transport::Evented));
-        assert_eq!(Transport::parse("threaded"), Some(Transport::Threaded));
-        assert_eq!(Transport::parse("threads"), Some(Transport::Threaded));
-        assert_eq!(Transport::parse("quantum"), None);
-        assert_eq!(Transport::default(), Transport::Evented);
     }
 
     #[test]

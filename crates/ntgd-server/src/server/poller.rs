@@ -4,9 +4,12 @@
 //!
 //! The shim declares the four `epoll` entry points `extern "C"` against the
 //! C library std already links — the repo's no-new-dependencies rule — and
-//! registers sockets **level-triggered**: read interest always, write
-//! interest only while a connection has pending response bytes.  Tokens are
-//! caller-chosen `usize`s carried in the kernel's event data.
+//! registers sockets **level-triggered** with a caller-chosen `(read,
+//! write)` interest pair: the loop arms read interest only while a
+//! connection can take more input and write interest only while it has
+//! pending response bytes, so a socket the loop would not serve is never
+//! reported.  Tokens are caller-chosen `usize`s carried in the kernel's
+//! event data.
 
 use std::io::{self, Read};
 use std::net::TcpStream;
@@ -48,32 +51,33 @@ impl Poller {
         Ok(Poller::Scan(ScanPoller::new()))
     }
 
-    /// Starts watching `stream` under `token` (read interest always, write
-    /// interest per `want_write`).
+    /// Starts watching `stream` under `token` with the given `(read,
+    /// write)` interest.
     pub fn register(
         &mut self,
         stream: &TcpStream,
         token: usize,
-        want_write: bool,
+        interest: (bool, bool),
     ) -> io::Result<()> {
         match self {
             #[cfg(target_os = "linux")]
-            Poller::Epoll(poller) => poller.register(stream, token, want_write),
-            Poller::Scan(poller) => poller.register(stream, token, want_write),
+            Poller::Epoll(poller) => poller.register(stream, token, interest),
+            Poller::Scan(poller) => poller.register(stream, token, interest),
         }
     }
 
-    /// Arms or disarms write interest for an already-registered socket.
-    pub fn set_write_interest(
+    /// Replaces the `(read, write)` interest of an already-registered
+    /// socket.
+    pub fn set_interest(
         &mut self,
         stream: &TcpStream,
         token: usize,
-        want_write: bool,
+        interest: (bool, bool),
     ) -> io::Result<()> {
         match self {
             #[cfg(target_os = "linux")]
-            Poller::Epoll(poller) => poller.set_write_interest(stream, token, want_write),
-            Poller::Scan(poller) => poller.set_write_interest(token, want_write),
+            Poller::Epoll(poller) => poller.set_interest(stream, token, interest),
+            Poller::Scan(poller) => poller.set_interest(token, interest),
         }
     }
 
@@ -150,9 +154,14 @@ impl EpollPoller {
         })
     }
 
-    fn interest(want_write: bool) -> u32 {
-        let mut events = sys::EPOLLIN | sys::EPOLLRDHUP;
-        if want_write {
+    /// The event mask for a `(read, write)` interest.  Errors and hang-ups
+    /// are reported whatever the mask, and surface through the write path.
+    fn events((read, write): (bool, bool)) -> u32 {
+        let mut events = 0;
+        if read {
+            events |= sys::EPOLLIN | sys::EPOLLRDHUP;
+        }
+        if write {
             events |= sys::EPOLLOUT;
         }
         events
@@ -170,27 +179,24 @@ impl EpollPoller {
         Ok(())
     }
 
-    fn register(&mut self, stream: &TcpStream, token: usize, want_write: bool) -> io::Result<()> {
-        self.ctl(
-            sys::EPOLL_CTL_ADD,
-            stream.as_raw_fd(),
-            Self::interest(want_write),
-            token,
-        )
-    }
-
-    fn set_write_interest(
+    fn register(
         &mut self,
         stream: &TcpStream,
         token: usize,
-        want_write: bool,
+        interest: (bool, bool),
     ) -> io::Result<()> {
-        self.ctl(
-            sys::EPOLL_CTL_MOD,
-            stream.as_raw_fd(),
-            Self::interest(want_write),
-            token,
-        )
+        let events = Self::events(interest);
+        self.ctl(sys::EPOLL_CTL_ADD, stream.as_raw_fd(), events, token)
+    }
+
+    fn set_interest(
+        &mut self,
+        stream: &TcpStream,
+        token: usize,
+        interest: (bool, bool),
+    ) -> io::Result<()> {
+        let events = Self::events(interest);
+        self.ctl(sys::EPOLL_CTL_MOD, stream.as_raw_fd(), events, token)
     }
 
     fn deregister(&mut self, stream: &TcpStream) -> io::Result<()> {
@@ -239,9 +245,10 @@ impl Drop for EpollPoller {
 }
 
 /// The portable fallback: a 1ms-cadence scan over registered sockets using
-/// `TcpStream::peek` for read readiness; write readiness is assumed
-/// whenever write interest is armed (a blocked `write` then simply returns
-/// `WouldBlock` again — correct, just not as idle-efficient as `epoll`).
+/// `TcpStream::peek` for read readiness (only while read interest is
+/// armed); write readiness is assumed whenever write interest is armed (a
+/// blocked `write` then simply returns `WouldBlock` again — correct, just
+/// not as idle-efficient as `epoll`).
 pub(super) struct ScanPoller {
     entries: Vec<ScanEntry>,
 }
@@ -249,7 +256,7 @@ pub(super) struct ScanPoller {
 struct ScanEntry {
     token: usize,
     stream: TcpStream,
-    want_write: bool,
+    interest: (bool, bool),
 }
 
 impl ScanPoller {
@@ -259,19 +266,24 @@ impl ScanPoller {
         }
     }
 
-    fn register(&mut self, stream: &TcpStream, token: usize, want_write: bool) -> io::Result<()> {
+    fn register(
+        &mut self,
+        stream: &TcpStream,
+        token: usize,
+        interest: (bool, bool),
+    ) -> io::Result<()> {
         self.entries.push(ScanEntry {
             token,
             stream: stream.try_clone()?,
-            want_write,
+            interest,
         });
         Ok(())
     }
 
-    fn set_write_interest(&mut self, token: usize, want_write: bool) -> io::Result<()> {
+    fn set_interest(&mut self, token: usize, interest: (bool, bool)) -> io::Result<()> {
         for entry in &mut self.entries {
             if entry.token == token {
-                entry.want_write = want_write;
+                entry.interest = interest;
                 return Ok(());
             }
         }
@@ -292,17 +304,19 @@ impl ScanPoller {
         loop {
             let mut probe = [0u8; 1];
             for entry in &self.entries {
-                let readable = match entry.stream.peek(&mut probe) {
-                    Ok(_) => true, // data (Ok(1)) or EOF (Ok(0))
-                    Err(err) if err.kind() == io::ErrorKind::WouldBlock => false,
-                    // Surface the error through the read path.
-                    Err(_) => true,
-                };
-                if readable || entry.want_write {
+                let (want_read, want_write) = entry.interest;
+                let readable = want_read
+                    && match entry.stream.peek(&mut probe) {
+                        Ok(_) => true, // data (Ok(1)) or EOF (Ok(0))
+                        Err(err) if err.kind() == io::ErrorKind::WouldBlock => false,
+                        // Surface the error through the read path.
+                        Err(_) => true,
+                    };
+                if readable || want_write {
                     out.push(Event {
                         token: entry.token,
                         readable,
-                        writable: entry.want_write,
+                        writable: want_write,
                     });
                 }
             }

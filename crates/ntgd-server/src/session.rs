@@ -19,7 +19,7 @@ use ntgd_sms::{
 
 use crate::protocol::{parse_command, Command, ModelsMode, Response, StatsScope};
 use crate::registry::{BaseEntry, BaseKey, BaseRegistry, ProgramClass};
-use crate::server::{ConnStats, Transport};
+use crate::server::ConnStats;
 
 /// Process-wide count of protocol requests executed across every session
 /// (blank/comment lines excluded; malformed requests included — they
@@ -246,12 +246,6 @@ pub struct SessionConfig {
     /// privately; `ntgd-serve` installs one registry per process unless
     /// `NTGD_SHARED_BASE=0`.
     pub base_registry: Option<Arc<BaseRegistry>>,
-    /// Which connection transport `serve`/`serve_tcp` run sessions on
-    /// (evented readiness loop vs one thread per connection).  Protocol
-    /// semantics and transcripts are byte-identical across both; the
-    /// threaded path is kept for differential testing.  Defaults from
-    /// `NTGD_TRANSPORT`.
-    pub transport: Transport,
     /// Admission cap on concurrently live TCP sessions; a connection over
     /// the cap is answered with a single `ERR server at capacity` line and
     /// closed (no banner).  `None` (the default) accepts without limit.
@@ -279,9 +273,9 @@ pub struct SessionConfig {
     /// On by default; `NTGD_CLASSIFY=0` restores the blind-budget
     /// behaviour.
     pub classify: bool,
-    /// Idle-session timeout for the evented transport: a connection with no
-    /// read activity for this long is closed and its admission slot
-    /// released (counted as `conn_idle_closed` in `STATS conn`).  Defaults
+    /// Idle-session timeout for TCP sessions: a connection whose peer has
+    /// neither sent nor accepted bytes for this long is closed and its
+    /// admission slot released (counted as `conn_idle_closed` in `STATS conn`).  Defaults
     /// from `NTGD_IDLE_TIMEOUT` (milliseconds); `None` (the default) never
     /// reaps.
     pub idle_timeout: Option<Duration>,
@@ -295,7 +289,6 @@ impl Default for SessionConfig {
             incremental_models: std::env::var("NTGD_SMS_INCREMENTAL")
                 .map_or(true, |value| value != "0"),
             base_registry: None,
-            transport: Transport::from_env(),
             max_sessions: std::env::var("NTGD_MAX_SESSIONS")
                 .ok()
                 .and_then(|value| value.trim().parse::<usize>().ok())

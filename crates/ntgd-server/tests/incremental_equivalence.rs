@@ -180,7 +180,7 @@ fn query_answers_are_split_invariant_over_the_protocol() {
 }
 
 #[test]
-fn fixed_batching_is_bit_identical_across_thread_counts_and_pool_modes() {
+fn fixed_batching_is_bit_identical_across_thread_counts() {
     for case in 0..15u64 {
         let seed = 0xb17_0000 + case;
         let mut rng = Rng::new(seed);

@@ -127,7 +127,7 @@ fn transcript() -> Vec<String> {
 }
 
 #[test]
-fn stats_metrics_is_byte_stable_across_threads_and_pool_modes() {
+fn stats_metrics_is_byte_stable_across_threads() {
     let _guard = settings_lock();
     let reference = transcript();
     // The scope's tallies are a pure function of the request history: the

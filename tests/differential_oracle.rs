@@ -248,7 +248,7 @@ fn fixed_seeds_match_the_from_scratch_oracle() {
 }
 
 #[test]
-fn thread_and_pool_matrix_is_bit_identical_and_oracle_equal() {
+fn thread_matrix_is_bit_identical_and_oracle_equal() {
     // Observability is forced ON for the whole matrix: its instruments sit
     // on the chase, the grounding and the CEGAR loop, and this assertion is
     // what makes "timing data never influences execution decisions" a
@@ -367,7 +367,7 @@ fn forked_sessions_match_private_from_scratch_sessions() {
 }
 
 #[test]
-fn forked_transcripts_are_bit_identical_across_threads_and_pool_modes() {
+fn forked_transcripts_are_bit_identical_across_threads() {
     // The fork determinism contract of the shared-base registry at every
     // thread count: a forked session's transcript must not depend on
     // NTGD_THREADS — and must equal the private from-scratch transcript in

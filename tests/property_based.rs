@@ -425,7 +425,7 @@ fn parallel_grounding_and_model_enumeration_are_deterministic() {
 /// still be bit-identical (arena order, null names, steps) to the one-thread
 /// run.  Tiny databases keep every chase round's delta to a handful of atoms.
 #[test]
-fn parallel_small_delta_rounds_are_deterministic_and_pooled() {
+fn small_delta_rounds_are_deterministic_across_thread_counts() {
     use stable_tgd::core::parallel;
     // Even 2-work-unit rounds fan out.
     const _: () = assert!(parallel::MIN_POOLED_WORK <= 2);
