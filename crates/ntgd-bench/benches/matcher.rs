@@ -656,11 +656,11 @@ fn main() {
     // the landscape (`ntgd_classes::classify`) and the verdict decides the
     // chase/null budgets, but registry forks *inherit* the registered verdict
     // instead of reclassifying.  This row prices that design on the four
-    // loadgen family templates (the shapes `ntgd-load` drives): classify
+    // loadgen family templates (the shapes servebench loads): classify
     // once per family (the registry path) versus once per LOAD of an
     // 8-session fleet (the reclassify-every-time strawman).  All four
     // families must come back chase-terminating — the verdict that lifts the
-    // step budget for every load-harness run.
+    // step budget for every generated workload.
     {
         const FLEET: usize = 8;
         let families: [(&str, &str); 4] = [

@@ -11,15 +11,13 @@
 //! Every session `LOAD`s the **same** program text.  That is deliberate:
 //! with the shared-base registry on, session 2..n fork the chased base of
 //! session 1, which is exactly the server behaviour a load test should
-//! exercise (and what the `--bench` mode of `ntgd-load` measures against a
-//! registry-less server).
+//! exercise.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::spec::{Distribution, Family, WorkloadSpec};
 
-/// The protocol verb of one generated operation (also the latency-report
-/// bucket key).
+/// The protocol verb of one generated operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Verb {
     /// `LOAD …`
@@ -32,28 +30,6 @@ pub enum Verb {
     Models,
     /// `RETRACT-TO …`
     Retract,
-}
-
-impl Verb {
-    /// The lower-case report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Verb::Load => "load",
-            Verb::Assert => "assert",
-            Verb::Query => "query",
-            Verb::Models => "models",
-            Verb::Retract => "retract-to",
-        }
-    }
-
-    /// All verbs, in report order.
-    pub const ALL: [Verb; 5] = [
-        Verb::Load,
-        Verb::Assert,
-        Verb::Query,
-        Verb::Models,
-        Verb::Retract,
-    ];
 }
 
 /// One generated protocol line.
@@ -69,8 +45,6 @@ pub struct Operation {
 /// operation stream (the `LOAD` is `ops[0]` of every session).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Workload {
-    /// The spec's report label.
-    pub name: String,
     /// Per-session operation streams, index = session id.
     pub sessions: Vec<Vec<Operation>>,
 }
@@ -88,11 +62,6 @@ impl Workload {
             }
         }
         out
-    }
-
-    /// Total number of operations across all sessions.
-    pub fn total_ops(&self) -> usize {
-        self.sessions.iter().map(Vec::len).sum()
     }
 
     /// 64-bit FNV-1a hash of [`Workload::render`] — a compact fingerprint
@@ -345,39 +314,46 @@ pub fn generate(spec: &WorkloadSpec) -> Workload {
             ops
         })
         .collect();
-    Workload {
-        name: spec.name.clone(),
-        sessions,
-    }
+    Workload { sessions }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::WorkloadSpec;
 
-    fn spec(family: &str) -> WorkloadSpec {
-        WorkloadSpec::parse(&format!(
-            "family = {family}\nsessions = 3\nops = 40\nmodels_rate = 0.1\nretract_rate = 0.15\n"
-        ))
-        .unwrap()
+    const FAMILIES: [Family; 4] = [
+        Family::Chain,
+        Family::Star,
+        Family::Existential,
+        Family::Disjunctive,
+    ];
+
+    fn spec(family: Family) -> WorkloadSpec {
+        WorkloadSpec {
+            family,
+            sessions: 3,
+            ops: 40,
+            models_rate: 0.1,
+            retract_rate: 0.15,
+            ..WorkloadSpec::default()
+        }
     }
 
     #[test]
     fn streams_are_deterministic_and_sessions_independent() {
-        for family in ["chain", "star", "existential", "disjunctive"] {
+        for family in FAMILIES {
             let one = generate(&spec(family));
             let two = generate(&spec(family));
             assert_eq!(
                 one.render(),
                 two.render(),
-                "{family} stream not reproducible"
+                "{family:?} stream not reproducible"
             );
             assert_eq!(one.fingerprint(), two.fingerprint());
             // Different sessions draw from different streams.
             assert_ne!(
                 one.sessions[0], one.sessions[1],
-                "{family} sessions identical"
+                "{family:?} sessions identical"
             );
             // But share one LOAD payload (the shared-base key).
             assert_eq!(one.sessions[0][0], one.sessions[1][0]);
@@ -386,7 +362,7 @@ mod tests {
 
     #[test]
     fn seeds_change_the_stream() {
-        let mut base = spec("chain");
+        let mut base = spec(Family::Chain);
         let one = generate(&base);
         base.seed = 43;
         let two = generate(&base);
@@ -397,7 +373,7 @@ mod tests {
     fn retract_targets_stay_within_live_marks() {
         // Re-simulate the mark discipline over the generated stream; an
         // out-of-range RETRACT-TO would ERR on the server.
-        let workload = generate(&spec("chain"));
+        let workload = generate(&spec(Family::Chain));
         for ops in &workload.sessions {
             let mut marks = 1usize;
             for op in &ops[1..] {
@@ -417,25 +393,29 @@ mod tests {
 
     #[test]
     fn disjunctive_workloads_route_queries_to_models() {
-        let workload = generate(&spec("disjunctive"));
-        assert!(workload
-            .sessions
-            .iter()
-            .flatten()
-            .all(|op| op.verb != Verb::Query));
-        assert!(workload
-            .sessions
-            .iter()
-            .flatten()
-            .any(|op| op.verb == Verb::Models));
+        // No MODELS share of its own: every MODELS comes from the query
+        // share, since a disjunctive session has no chase to QUERY.
+        let workload = generate(&WorkloadSpec {
+            models_rate: 0.0,
+            ..spec(Family::Disjunctive)
+        });
+        let ops = || workload.sessions.iter().flatten();
+        assert!(ops().all(|op| op.verb != Verb::Query));
+        assert!(ops().any(|op| op.verb == Verb::Models));
     }
 
     #[test]
     fn zipf_draws_skew_towards_low_ranks() {
-        let spec = WorkloadSpec::parse(
-            "family = chain\ndistribution = zipf\nzipf_s = 1.4\nconstants = 50\nops = 200\nsessions = 1\nquery_rate = 0\nretract_rate = 0\n",
-        )
-        .unwrap();
+        let spec = WorkloadSpec {
+            distribution: Distribution::Zipf,
+            zipf_s: 1.4,
+            constants: 50,
+            ops: 200,
+            sessions: 1,
+            query_rate: 0.0,
+            retract_rate: 0.0,
+            ..WorkloadSpec::default()
+        };
         let workload = generate(&spec);
         let text = workload.render();
         let count = |c: &str| text.matches(c).count();
@@ -445,7 +425,10 @@ mod tests {
 
     #[test]
     fn arity_widens_the_base_predicate() {
-        let spec = WorkloadSpec::parse("family = chain\narity = 4\n").unwrap();
+        let spec = WorkloadSpec {
+            arity: 4,
+            ..WorkloadSpec::default()
+        };
         let workload = generate(&spec);
         let load = &workload.sessions[0][0].line;
         assert!(

@@ -1,18 +1,7 @@
-//! The declarative workload specification and its parser.
+//! The declarative workload specification.
 //!
-//! A spec is a flat `key = value` file (a TOML subset: `#` comments, blank
-//! lines and `[section]` headers are allowed; headers are decorative and
-//! carry no meaning).  Every knob has a default, so the smallest valid spec
-//! is a single `family = chain` line.  The full format, with a worked
-//! example per workload family, is documented in `docs/WORKLOAD_SPEC.md` at
-//! the repository root.
-//!
-//! Parsing is strict by design — an unknown key, a duplicated key, or an
-//! out-of-range value is an error carrying the **line number and field
-//! name**, never a silently ignored knob: a load report is only reproducible
-//! if the spec that produced it cannot be misread.
-
-use std::fmt;
+//! Every field has a default ([`WorkloadSpec::default`]); callers build a
+//! spec as a struct literal over `..WorkloadSpec::default()`.
 
 /// The rule-template family a workload instantiates (see
 /// [`crate::generator`] for the exact templates).
@@ -29,17 +18,6 @@ pub enum Family {
     Disjunctive,
 }
 
-impl fmt::Display for Family {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Family::Chain => write!(f, "chain"),
-            Family::Star => write!(f, "star"),
-            Family::Existential => write!(f, "existential"),
-            Family::Disjunctive => write!(f, "disjunctive"),
-        }
-    }
-}
-
 /// How fact arguments are drawn from the constant pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Distribution {
@@ -50,62 +28,51 @@ pub enum Distribution {
     Zipf,
 }
 
-impl fmt::Display for Distribution {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Distribution::Uniform => write!(f, "uniform"),
-            Distribution::Zipf => write!(f, "zipf"),
-        }
-    }
-}
-
-/// A parsed, validated workload specification.  Together with its
+/// A workload specification.  Together with its
 /// [`seed`](WorkloadSpec::seed) it fully determines the generated operation
 /// stream, byte for byte ([`crate::generator::generate`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadSpec {
-    /// Report label (`name = …`; defaults to `workload`).
+    /// Label (default `workload`).
     pub name: String,
-    /// Rule-template family (`family = chain|star|existential|disjunctive`).
+    /// Rule-template family.
     pub family: Family,
     /// Template depth: chain length, star arms, existential hops, extra
-    /// disjunctive layers (`depth = …`, default 3, ≥ 1).
+    /// disjunctive layers (default 3, ≥ 1).
     pub depth: usize,
-    /// Arity of the base fact predicate (`arity = …`, default 2, ≥ 2).
+    /// Arity of the base fact predicate (default 2, ≥ 2).
     pub arity: usize,
-    /// Constant-pool size (`constants = …`, default 64, ≥ 1): fact arguments
-    /// are `c0 … c{constants-1}`.
+    /// Constant-pool size (default 64, ≥ 1): fact arguments are
+    /// `c0 … c{constants-1}`.
     pub constants: usize,
-    /// Facts embedded in the shared `LOAD` payload (`initial_facts = …`,
-    /// default 24).  All sessions `LOAD` the same program text, so with the
-    /// shared-base registry on they fork one chased base.
+    /// Facts embedded in the shared `LOAD` payload (default 24).  All
+    /// sessions `LOAD` the same program text, so with the shared-base
+    /// registry on they fork one chased base.
     pub initial_facts: usize,
-    /// Fact-argument distribution (`distribution = uniform|zipf`).
+    /// Fact-argument distribution.
     pub distribution: Distribution,
-    /// Zipf exponent (`zipf_s = …`, default 1.1, > 0; only meaningful with
-    /// `distribution = zipf`).
+    /// Zipf exponent (default 1.1, > 0; only read with
+    /// [`Distribution::Zipf`]).
     pub zipf_s: f64,
-    /// Concurrent client sessions (`sessions = …`, default 2, ≥ 1).
+    /// Client sessions (default 2, ≥ 1).
     pub sessions: usize,
-    /// Operations per session after the `LOAD` (`ops = …`, default 32).
+    /// Operations per session after the `LOAD` (default 32).
     pub ops: usize,
-    /// Facts per `ASSERT` batch (`batch = …`, default 4, ≥ 1).
+    /// Facts per `ASSERT` batch (default 4, ≥ 1).
     pub batch: usize,
-    /// Probability an operation is a `RETRACT-TO` (`retract_rate = …`,
-    /// default 0.1, in [0, 1]).
+    /// Probability an operation is a `RETRACT-TO` (default 0.1, in [0, 1]).
     pub retract_rate: f64,
-    /// Probability an operation is a `QUERY` (`query_rate = …`, default 0.25;
-    /// folded into the `MODELS` share for disjunctive programs, which have
-    /// no chase to query).
+    /// Probability an operation is a `QUERY` (default 0.25; folded into the
+    /// `MODELS` share for disjunctive programs, which have no chase to
+    /// query).
     pub query_rate: f64,
-    /// Probability an operation is a `MODELS` request (`models_rate = …`,
-    /// default 0).  The remaining mass is `ASSERT`.
+    /// Probability an operation is a `MODELS` request (default 0).  The
+    /// remaining mass is `ASSERT`.
     pub models_rate: f64,
-    /// The `max=` cap sent with every `MODELS` request (`models_max = …`,
-    /// default 8, ≥ 1).
+    /// The `max=` cap sent with every `MODELS` request (default 8, ≥ 1).
     pub models_max: usize,
-    /// PRNG seed (`seed = …`, default 42).  Replaying the same spec file
-    /// with the same seed reproduces the operation stream exactly.
+    /// PRNG seed (default 42).  The same spec with the same seed reproduces
+    /// the operation stream exactly.
     pub seed: u64,
 }
 
@@ -129,317 +96,5 @@ impl Default for WorkloadSpec {
             models_max: 8,
             seed: 42,
         }
-    }
-}
-
-/// A spec rejection: the offending line (1-based; 0 for whole-spec
-/// constraints) and field, plus a human-readable reason.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpecError {
-    /// 1-based line number of the offending entry (0 when the error spans
-    /// fields, e.g. rates summing past 1).
-    pub line: usize,
-    /// The field the error is about.
-    pub field: String,
-    /// What was wrong.
-    pub message: String,
-}
-
-impl fmt::Display for SpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "spec: {}: {}", self.field, self.message)
-        } else {
-            write!(
-                f,
-                "spec line {}: {}: {}",
-                self.line, self.field, self.message
-            )
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-fn err(line: usize, field: &str, message: impl Into<String>) -> SpecError {
-    SpecError {
-        line,
-        field: field.to_owned(),
-        message: message.into(),
-    }
-}
-
-impl WorkloadSpec {
-    /// Parses a spec from its textual form.  See the module documentation
-    /// for the format; every error names the line and field it is about.
-    pub fn parse(text: &str) -> Result<WorkloadSpec, SpecError> {
-        let mut spec = WorkloadSpec::default();
-        let mut seen: Vec<(String, usize)> = Vec::new();
-        for (index, raw) in text.lines().enumerate() {
-            let line_no = index + 1;
-            let line = match raw.find('#') {
-                Some(hash) => &raw[..hash],
-                None => raw,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('[') {
-                if line.ends_with(']') {
-                    continue; // decorative section header
-                }
-                return Err(err(line_no, line, "unterminated [section] header"));
-            }
-            let Some(eq) = line.find('=') else {
-                return Err(err(line_no, line, "expected `key = value`"));
-            };
-            let key = line[..eq].trim();
-            let value = line[eq + 1..].trim().trim_matches('"');
-            if key.is_empty() {
-                return Err(err(line_no, line, "expected `key = value`"));
-            }
-            if let Some((_, first)) = seen.iter().find(|(k, _)| k == key) {
-                return Err(err(
-                    line_no,
-                    key,
-                    format!("duplicate key (first set on line {first})"),
-                ));
-            }
-            seen.push((key.to_owned(), line_no));
-            spec.apply(line_no, key, value)?;
-        }
-        spec.validate(&seen)?;
-        Ok(spec)
-    }
-
-    /// Reads and parses a spec file (convenience for the `ntgd-load` binary
-    /// and tests).
-    pub fn parse_file(path: &str) -> Result<WorkloadSpec, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        WorkloadSpec::parse(&text).map_err(|e| e.to_string())
-    }
-
-    fn apply(&mut self, line: usize, key: &str, value: &str) -> Result<(), SpecError> {
-        match key {
-            "name" => {
-                if value.is_empty()
-                    || !value
-                        .chars()
-                        .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-                {
-                    return Err(err(
-                        line,
-                        key,
-                        format!("expected an identifier, got {value:?}"),
-                    ));
-                }
-                self.name = value.to_owned();
-            }
-            "family" => {
-                self.family = match value {
-                    "chain" => Family::Chain,
-                    "star" => Family::Star,
-                    "existential" => Family::Existential,
-                    "disjunctive" => Family::Disjunctive,
-                    other => {
-                        return Err(err(
-                            line,
-                            key,
-                            format!("expected chain|star|existential|disjunctive, got {other:?}"),
-                        ))
-                    }
-                };
-            }
-            "distribution" => {
-                self.distribution = match value {
-                    "uniform" => Distribution::Uniform,
-                    "zipf" => Distribution::Zipf,
-                    other => {
-                        return Err(err(
-                            line,
-                            key,
-                            format!("expected uniform|zipf, got {other:?}"),
-                        ))
-                    }
-                };
-            }
-            "depth" => self.depth = positive(line, key, value)?,
-            "arity" => {
-                self.arity = positive(line, key, value)?;
-                if self.arity < 2 {
-                    return Err(err(line, key, "arity must be at least 2"));
-                }
-            }
-            "constants" => self.constants = positive(line, key, value)?,
-            "initial_facts" => self.initial_facts = unsigned(line, key, value)?,
-            "sessions" => self.sessions = positive(line, key, value)?,
-            "ops" => self.ops = unsigned(line, key, value)?,
-            "batch" => self.batch = positive(line, key, value)?,
-            "models_max" => self.models_max = positive(line, key, value)?,
-            "seed" => {
-                self.seed = value.parse::<u64>().map_err(|_| {
-                    err(line, key, format!("expected a 64-bit seed, got {value:?}"))
-                })?;
-            }
-            "zipf_s" => {
-                self.zipf_s = float(line, key, value)?;
-                if !self.zipf_s.is_finite() || self.zipf_s <= 0.0 {
-                    return Err(err(line, key, "zipf exponent must be positive"));
-                }
-            }
-            "retract_rate" => self.retract_rate = rate(line, key, value)?,
-            "query_rate" => self.query_rate = rate(line, key, value)?,
-            "models_rate" => self.models_rate = rate(line, key, value)?,
-            other => {
-                return Err(err(
-                    line,
-                    other,
-                    "unknown key (see docs/WORKLOAD_SPEC.md for the field list)",
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn validate(&self, seen: &[(String, usize)]) -> Result<(), SpecError> {
-        let mix = self.retract_rate + self.query_rate + self.models_rate;
-        if mix > 1.0 {
-            return Err(err(
-                0,
-                "retract_rate/query_rate/models_rate",
-                format!("rates sum to {mix}, leaving no probability mass for ASSERT"),
-            ));
-        }
-        if self.distribution == Distribution::Uniform {
-            if let Some((_, line)) = seen.iter().find(|(k, _)| k == "zipf_s") {
-                return Err(err(
-                    *line,
-                    "zipf_s",
-                    "zipf exponent set but distribution is uniform",
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-fn unsigned(line: usize, key: &str, value: &str) -> Result<usize, SpecError> {
-    value.parse::<usize>().map_err(|_| {
-        err(
-            line,
-            key,
-            format!("expected a non-negative integer, got {value:?}"),
-        )
-    })
-}
-
-fn positive(line: usize, key: &str, value: &str) -> Result<usize, SpecError> {
-    match unsigned(line, key, value)? {
-        0 => Err(err(line, key, "must be at least 1")),
-        n => Ok(n),
-    }
-}
-
-fn float(line: usize, key: &str, value: &str) -> Result<f64, SpecError> {
-    value
-        .parse::<f64>()
-        .map_err(|_| err(line, key, format!("expected a number, got {value:?}")))
-}
-
-fn rate(line: usize, key: &str, value: &str) -> Result<f64, SpecError> {
-    let rate = float(line, key, value)?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(err(
-            line,
-            key,
-            format!("expected a rate in [0, 1], got {value}"),
-        ));
-    }
-    Ok(rate)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn minimal_spec_fills_defaults() {
-        let spec = WorkloadSpec::parse("family = star\n").unwrap();
-        assert_eq!(spec.family, Family::Star);
-        assert_eq!(spec.sessions, 2);
-        assert_eq!(spec.seed, 42);
-        assert_eq!(WorkloadSpec::parse("").unwrap(), WorkloadSpec::default());
-    }
-
-    #[test]
-    fn full_spec_parses_with_comments_and_sections() {
-        let text = "\
-[workload]
-name = smoke # trailing comment
-family = disjunctive
-depth = 2
-arity = 3
-constants = 10
-initial_facts = 5
-distribution = zipf
-zipf_s = 1.3
-sessions = 4
-ops = 16
-batch = 2
-retract_rate = 0.05
-query_rate = 0.0
-models_rate = 0.4
-models_max = 6
-seed = 7
-";
-        let spec = WorkloadSpec::parse(text).unwrap();
-        assert_eq!(spec.name, "smoke");
-        assert_eq!(spec.family, Family::Disjunctive);
-        assert_eq!(spec.arity, 3);
-        assert_eq!(spec.distribution, Distribution::Zipf);
-        assert_eq!(spec.zipf_s, 1.3);
-        assert_eq!(spec.seed, 7);
-    }
-
-    #[test]
-    fn errors_carry_line_and_field() {
-        let error = WorkloadSpec::parse("family = chain\nquery_rate = lots\n").unwrap_err();
-        assert_eq!(error.line, 2);
-        assert_eq!(error.field, "query_rate");
-        assert!(error.to_string().starts_with("spec line 2: query_rate:"));
-
-        let error = WorkloadSpec::parse("famly = chain\n").unwrap_err();
-        assert_eq!((error.line, error.field.as_str()), (1, "famly"));
-        assert!(error.message.contains("unknown key"));
-
-        let error = WorkloadSpec::parse("seed = 1\n\nseed = 2\n").unwrap_err();
-        assert_eq!(error.line, 3);
-        assert!(error.message.contains("first set on line 1"));
-
-        let error = WorkloadSpec::parse("depth 3\n").unwrap_err();
-        assert!(error.message.contains("key = value"));
-    }
-
-    #[test]
-    fn out_of_range_values_are_rejected() {
-        assert!(WorkloadSpec::parse("retract_rate = 1.5\n").is_err());
-        assert!(WorkloadSpec::parse("arity = 1\n").is_err());
-        assert!(WorkloadSpec::parse("sessions = 0\n").is_err());
-        assert!(WorkloadSpec::parse("family = cyclic\n").is_err());
-        assert!(WorkloadSpec::parse("distribution = zipf\nzipf_s = 0\n").is_err());
-        let error =
-            WorkloadSpec::parse("retract_rate = 0.5\nquery_rate = 0.4\nmodels_rate = 0.3\n")
-                .unwrap_err();
-        assert_eq!(error.line, 0);
-        assert!(error.to_string().contains("no probability mass"));
-    }
-
-    #[test]
-    fn zipf_exponent_requires_zipf_distribution() {
-        let error = WorkloadSpec::parse("zipf_s = 1.2\n").unwrap_err();
-        assert_eq!(error.field, "zipf_s");
-        assert_eq!(error.line, 1);
-        assert!(WorkloadSpec::parse("distribution = zipf\nzipf_s = 1.2\n").is_ok());
     }
 }

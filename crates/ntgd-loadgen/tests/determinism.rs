@@ -1,29 +1,58 @@
 //! The replayability contract: a spec + seed IS the operation stream.
 //!
-//! `docs/WORKLOAD_SPEC.md` promises that any load report can be reproduced
-//! from its committed spec and seed alone.  These tests hold the generator
-//! to that promise: byte-identical streams across repeated generations,
-//! across thread-count configurations (`NTGD_THREADS` {1, 8} — generation
-//! must never fan out nondeterministically), and — for the committed CI
-//! smoke spec — across time, via a pinned fingerprint.
+//! These tests hold the generator to that contract: byte-identical streams
+//! across repeated generations, across thread-count configurations
+//! (`NTGD_THREADS` {1, 8} — generation must never fan out
+//! nondeterministically), and across time, via pinned fingerprints of two
+//! fixed specs.
 
 use ntgd_core::parallel;
-use ntgd_loadgen::{generate, WorkloadSpec};
+use ntgd_loadgen::{generate, Distribution, Family, WorkloadSpec};
 
+/// A 2-session chain-join workload with zipf-skewed fact arrival, a 10%
+/// retract rate and a query/`MODELS` mix: every verb appears.
 fn smoke_spec() -> WorkloadSpec {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../ci/server_load_smoke.spec"
-    );
-    WorkloadSpec::parse_file(path).expect("committed smoke spec parses")
+    WorkloadSpec {
+        name: "server-load-smoke".to_owned(),
+        family: Family::Chain,
+        depth: 4,
+        arity: 2,
+        constants: 32,
+        initial_facts: 120,
+        distribution: Distribution::Zipf,
+        zipf_s: 1.1,
+        sessions: 2,
+        ops: 30,
+        batch: 4,
+        retract_rate: 0.1,
+        query_rate: 0.2,
+        models_rate: 0.15,
+        models_max: 4,
+        seed: 2026,
+    }
 }
 
+/// 256 sessions of a shallow chain with uniform fact arrival and no
+/// `MODELS` share: many small sessions rather than heavy reasoning.
 fn high_sessions_spec() -> WorkloadSpec {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../ci/server_load_high_sessions.spec"
-    );
-    WorkloadSpec::parse_file(path).expect("committed high-sessions spec parses")
+    WorkloadSpec {
+        name: "server-load-high-sessions".to_owned(),
+        family: Family::Chain,
+        depth: 3,
+        arity: 2,
+        constants: 24,
+        initial_facts: 40,
+        distribution: Distribution::Uniform,
+        zipf_s: 1.1,
+        sessions: 256,
+        ops: 10,
+        batch: 4,
+        retract_rate: 0.1,
+        query_rate: 0.25,
+        models_rate: 0.0,
+        models_max: 2,
+        seed: 4099,
+    }
 }
 
 #[test]
@@ -52,11 +81,9 @@ fn generation_is_identical_at_thread_counts_1_and_8() {
 
 #[test]
 fn committed_spec_fingerprint_is_pinned() {
-    // The committed smoke spec's exact operation stream, pinned.  If this
-    // fails you changed the generator's output for existing specs (or the
-    // spec file): that invalidates the committed BENCH_server.json baseline
-    // and every recorded report — regenerate them and update this pin
-    // deliberately.
+    // The smoke spec's exact operation stream, pinned.  If this fails you
+    // changed the generator's output for existing specs: servebench's
+    // workload fingerprints move with it, so update both pins deliberately.
     let workload = generate(&smoke_spec());
     assert_eq!(
         workload.fingerprint(),
@@ -68,15 +95,10 @@ fn committed_spec_fingerprint_is_pinned() {
 
 #[test]
 fn committed_high_sessions_fingerprint_is_pinned() {
-    // Same contract for the 256-session connection-layer gate spec: its
-    // stream (and the 256 concurrent sessions CI drives with it) must not
-    // drift silently.
+    // Same contract for the 256-session spec: its stream must not drift
+    // silently.
     let workload = generate(&high_sessions_spec());
-    assert_eq!(
-        workload.sessions.len(),
-        256,
-        "the spec IS the 256-session gate"
-    );
+    assert_eq!(workload.sessions.len(), 256, "one stream per session");
     assert_eq!(
         workload.fingerprint(),
         0x3a7b_7e09_5d69_708b,

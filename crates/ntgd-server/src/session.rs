@@ -24,8 +24,7 @@ use crate::server::ConnStats;
 /// Process-wide count of protocol requests executed across every session
 /// (blank/comment lines excluded; malformed requests included — they
 /// produced an `ERR` response).  `STATS` reports it as `server_requests`,
-/// which is what the `ntgd-load` harness reads back after a run to confirm
-/// the server saw every request the clients sent.
+/// so a client can confirm the server saw every request it sent.
 static SERVER_REQUESTS: AtomicU64 = AtomicU64::new(0);
 
 /// The current process-wide request count (see `SERVER_REQUESTS` above).
@@ -47,19 +46,7 @@ pub fn server_exec_ns() -> u64 {
 /// Monotonic session ids (the structured log correlates events by them).
 static SESSION_IDS: AtomicU64 = AtomicU64::new(1);
 
-/// Process-wide per-verb request counters and the error tally, served by
-/// `METRICS`.  Distinct from the *session-local* [`RequestCounters`] that
-/// `STATS metrics` prints: these aggregate every session in the process.
-static REQ_LOAD: obs::Counter = obs::Counter::new("server.requests.load");
-static REQ_ASSERT: obs::Counter = obs::Counter::new("server.requests.assert");
-static REQ_QUERY: obs::Counter = obs::Counter::new("server.requests.query");
-static REQ_MODELS: obs::Counter = obs::Counter::new("server.requests.models");
-static REQ_RETRACT: obs::Counter = obs::Counter::new("server.requests.retract");
-static REQ_STATS: obs::Counter = obs::Counter::new("server.requests.stats");
-static REQ_METRICS: obs::Counter = obs::Counter::new("server.requests.metrics");
-static REQ_PING: obs::Counter = obs::Counter::new("server.requests.ping");
-static REQ_HELP: obs::Counter = obs::Counter::new("server.requests.help");
-static REQ_QUIT: obs::Counter = obs::Counter::new("server.requests.quit");
+/// Process-wide count of requests answered `ERR`, served by `METRICS`.
 static REQ_ERRORS: obs::Counter = obs::Counter::new("server.requests.errors");
 static BUDGET_REJECTIONS: obs::Counter = obs::Counter::new("server.budget_rejections");
 
@@ -80,53 +67,56 @@ fn class_counter(verdict: ClassVerdict) -> &'static obs::Counter {
     }
 }
 
-/// The protocol verb of a parsed command, as a metric label (`None` for
-/// blank/comment lines, which are not requests).
-fn verb_label(command: &Command) -> Option<&'static str> {
+/// One protocol verb's metric names: its label (the `STATS metrics` key
+/// suffix and the slow-log `verb`), its process-wide `METRICS` request
+/// counter, and its wall-time histogram.
+struct VerbMetrics {
+    label: &'static str,
+    counter: obs::Counter,
+    histogram: &'static str,
+}
+
+macro_rules! verb_metrics {
+    ($label:literal) => {
+        VerbMetrics {
+            label: $label,
+            counter: obs::Counter::new(concat!("server.requests.", $label)),
+            histogram: concat!("server.request.", $label),
+        }
+    };
+}
+
+/// Every protocol verb, in `STATS metrics` order; [`verb_index`] maps a
+/// command to its row.  The process-wide counters here aggregate every
+/// session in the process, unlike the session-local [`RequestCounters`].
+static VERBS: [VerbMetrics; 10] = [
+    verb_metrics!("load"),
+    verb_metrics!("assert"),
+    verb_metrics!("query"),
+    verb_metrics!("models"),
+    verb_metrics!("retract"),
+    verb_metrics!("stats"),
+    verb_metrics!("metrics"),
+    verb_metrics!("ping"),
+    verb_metrics!("help"),
+    verb_metrics!("quit"),
+];
+
+/// The [`VERBS`] row of a parsed command (`None` for blank/comment lines,
+/// which are not requests).
+fn verb_index(command: &Command) -> Option<usize> {
     match command {
-        Command::Load(_) => Some("load"),
-        Command::Assert(_) => Some("assert"),
-        Command::Query(_) => Some("query"),
-        Command::Models { .. } => Some("models"),
-        Command::RetractTo(_) => Some("retract"),
-        Command::Stats { .. } => Some("stats"),
-        Command::Metrics => Some("metrics"),
-        Command::Ping => Some("ping"),
-        Command::Help => Some("help"),
-        Command::Quit => Some("quit"),
+        Command::Load(_) => Some(0),
+        Command::Assert(_) => Some(1),
+        Command::Query(_) => Some(2),
+        Command::Models { .. } => Some(3),
+        Command::RetractTo(_) => Some(4),
+        Command::Stats { .. } => Some(5),
+        Command::Metrics => Some(6),
+        Command::Ping => Some(7),
+        Command::Help => Some(8),
+        Command::Quit => Some(9),
         Command::Nop => None,
-    }
-}
-
-/// The process-wide counter for a verb label.
-fn verb_counter(verb: &'static str) -> &'static obs::Counter {
-    match verb {
-        "load" => &REQ_LOAD,
-        "assert" => &REQ_ASSERT,
-        "query" => &REQ_QUERY,
-        "models" => &REQ_MODELS,
-        "retract" => &REQ_RETRACT,
-        "stats" => &REQ_STATS,
-        "metrics" => &REQ_METRICS,
-        "ping" => &REQ_PING,
-        "help" => &REQ_HELP,
-        _ => &REQ_QUIT,
-    }
-}
-
-/// The per-verb wall-time histogram name for a verb label.
-fn verb_histogram(verb: &'static str) -> &'static str {
-    match verb {
-        "load" => "server.request.load",
-        "assert" => "server.request.assert",
-        "query" => "server.request.query",
-        "models" => "server.request.models",
-        "retract" => "server.request.retract",
-        "stats" => "server.request.stats",
-        "metrics" => "server.request.metrics",
-        "ping" => "server.request.ping",
-        "help" => "server.request.help",
-        _ => "server.request.quit",
     }
 }
 
@@ -137,52 +127,21 @@ fn verb_histogram(verb: &'static str) -> &'static str {
 #[derive(Clone, Copy, Debug, Default)]
 struct RequestCounters {
     total: u64,
-    load: u64,
-    assert: u64,
-    query: u64,
-    models: u64,
-    retract: u64,
-    stats: u64,
-    metrics: u64,
-    ping: u64,
-    help: u64,
-    quit: u64,
+    /// Requests per [`VERBS`] row.
+    verbs: [u64; VERBS.len()],
     /// Requests answered with `ERR` (parse failures included).
     errors: u64,
 }
 
 impl RequestCounters {
-    fn bump(&mut self, verb: &str) {
-        match verb {
-            "load" => self.load += 1,
-            "assert" => self.assert += 1,
-            "query" => self.query += 1,
-            "models" => self.models += 1,
-            "retract" => self.retract += 1,
-            "stats" => self.stats += 1,
-            "metrics" => self.metrics += 1,
-            "ping" => self.ping += 1,
-            "help" => self.help += 1,
-            "quit" => self.quit += 1,
-            _ => {}
-        }
-    }
-
     fn stat_lines(&self) -> Vec<String> {
-        vec![
-            format!("STAT requests_total={}", self.total),
-            format!("STAT requests_load={}", self.load),
-            format!("STAT requests_assert={}", self.assert),
-            format!("STAT requests_query={}", self.query),
-            format!("STAT requests_models={}", self.models),
-            format!("STAT requests_retract={}", self.retract),
-            format!("STAT requests_stats={}", self.stats),
-            format!("STAT requests_metrics={}", self.metrics),
-            format!("STAT requests_ping={}", self.ping),
-            format!("STAT requests_help={}", self.help),
-            format!("STAT requests_quit={}", self.quit),
-            format!("STAT requests_errors={}", self.errors),
-        ]
+        let mut lines = Vec::with_capacity(VERBS.len() + 2);
+        lines.push(format!("STAT requests_total={}", self.total));
+        for (verb, count) in VERBS.iter().zip(self.verbs) {
+            lines.push(format!("STAT requests_{}={count}", verb.label));
+        }
+        lines.push(format!("STAT requests_errors={}", self.errors));
+        lines
     }
 }
 
@@ -416,9 +375,9 @@ impl Session {
         }
         SERVER_REQUESTS.fetch_add(1, Ordering::Relaxed);
         self.requests.total += 1;
-        let verb = parsed.as_ref().ok().and_then(verb_label);
+        let verb = parsed.as_ref().ok().and_then(verb_index);
         if let Some(verb) = verb {
-            self.requests.bump(verb);
+            self.requests.verbs[verb] += 1;
         }
         let started = Instant::now();
         let response = match self.over_budget(&parsed) {
@@ -454,11 +413,12 @@ impl Session {
             self.requests.errors += 1;
             REQ_ERRORS.incr();
         }
+        let verb = verb.map(|verb| &VERBS[verb]);
         if let Some(verb) = verb {
-            verb_counter(verb).incr();
-            obs::record_duration(verb_histogram(verb), elapsed_ns);
+            verb.counter.incr();
+            obs::record_duration(verb.histogram, elapsed_ns);
         }
-        self.log_slow(verb, line, &response, elapsed_ns);
+        self.log_slow(verb.map(|verb| verb.label), line, &response, elapsed_ns);
         response
     }
 

@@ -7,8 +7,10 @@
 //! The headline test drives **256 concurrent sessions** at `NTGD_THREADS`
 //! 1 and 8 and requires every session's transcript to be byte-identical to
 //! the same script pumped through `handle_session` over in-memory buffers
-//! (the REPL path): the transport must be invisible to clients.  CI runs
-//! this file under both pollers (`epoll` and `NTGD_POLLER=scan`).
+//! (the REPL path): the transport must be invisible to clients.  It also
+//! bounds the p99 request latency of that fleet at 5 s, a liveness check:
+//! no session may starve.  CI runs this file under both pollers (`epoll`
+//! and `NTGD_POLLER=scan`).
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -73,21 +75,33 @@ fn script(i: usize) -> Vec<String> {
     lines
 }
 
+/// How long a fleet client waits to connect or for a reply: far above any
+/// latency the parity test accepts, so only a stalled server trips it, and
+/// then the test fails instead of hanging.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Connects `sessions` concurrent clients, releases them together, runs each
 /// one's script in request/response lockstep, QUITs, and returns every
-/// session's full transcript (banner included, read to server-side EOF).
-fn run_fleet(addr: std::net::SocketAddr, sessions: usize) -> Vec<String> {
+/// session's full transcript (banner included, read to server-side EOF)
+/// with the wall time of each of its requests.
+fn run_fleet(addr: std::net::SocketAddr, sessions: usize) -> Vec<(String, Vec<Duration>)> {
     let barrier = Arc::new(Barrier::new(sessions));
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..sessions)
             .map(|i| {
                 let barrier = Arc::clone(&barrier);
                 scope.spawn(move || {
-                    let stream = TcpStream::connect(addr).expect("connect");
+                    let connected = TcpStream::connect_timeout(&addr, CLIENT_TIMEOUT);
+                    // Every client reaches the barrier, so one failed connect
+                    // fails the test instead of stranding the others.
+                    barrier.wait();
+                    let stream = connected.expect("connect");
                     stream.set_nodelay(true).expect("nodelay");
+                    stream
+                        .set_read_timeout(Some(CLIENT_TIMEOUT))
+                        .expect("read timeout");
                     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
                     let mut writer = stream;
-                    barrier.wait();
                     fn read_until_terminator(
                         reader: &mut BufReader<TcpStream>,
                         transcript: &mut String,
@@ -110,17 +124,18 @@ fn run_fleet(addr: std::net::SocketAddr, sessions: usize) -> Vec<String> {
                         reader.read_line(&mut line).expect("banner");
                         transcript.push_str(&line);
                     }
-                    for request in script(i) {
+                    let mut latencies = Vec::new();
+                    for request in script(i).into_iter().chain(["QUIT".to_owned()]) {
+                        let started = Instant::now();
                         writeln!(writer, "{request}").expect("write");
                         read_until_terminator(&mut reader, &mut transcript);
+                        latencies.push(started.elapsed());
                     }
-                    writeln!(writer, "QUIT").expect("write QUIT");
-                    read_until_terminator(&mut reader, &mut transcript);
                     // The server closes after QUIT.
                     let mut rest = String::new();
                     reader.read_to_string(&mut rest).expect("read to EOF");
                     transcript.push_str(&rest);
-                    transcript
+                    (transcript, latencies)
                 })
             })
             .collect();
@@ -129,6 +144,12 @@ fn run_fleet(addr: std::net::SocketAddr, sessions: usize) -> Vec<String> {
             .map(|h| h.join().expect("client thread"))
             .collect()
     })
+}
+
+/// The nearest-rank 99th percentile of `samples`.
+fn p99(mut samples: Vec<Duration>) -> Duration {
+    samples.sort_unstable();
+    samples[(samples.len() * 99).div_ceil(100) - 1]
 }
 
 /// Session `i`'s script (plus `QUIT`) pumped through `handle_session`
@@ -147,18 +168,27 @@ fn in_memory_transcript(i: usize) -> String {
 }
 
 /// The parity gate: 256 concurrent TCP sessions at 1 and 8 worker threads.
-/// Each session's transcript must match its in-memory run byte-for-byte.
+/// Each session's transcript must match its in-memory run byte-for-byte,
+/// and the p99 wall time over all requests must stay within 5 s.
 #[test]
 fn evented_matches_in_memory_sessions_at_256_sessions_across_threads() {
     const SESSIONS: usize = 256;
+    // Generous for noisy CI runners: the bound checks liveness, not speed.
+    const P99_BOUND: Duration = Duration::from_secs(5);
     for threads in [1usize, 8] {
         parallel::set_thread_override(Some(threads));
         let server = boot(None);
-        let tcp = run_fleet(server.addr(), SESSIONS);
+        let (tcp, latencies): (Vec<String>, Vec<Vec<Duration>>) =
+            run_fleet(server.addr(), SESSIONS).into_iter().unzip();
         let stats = server.conn_stats();
         server.shutdown().expect("shutdown");
         let reference: Vec<String> = (0..SESSIONS).map(in_memory_transcript).collect();
         parallel::set_thread_override(None);
+        let p99 = p99(latencies.into_iter().flatten().collect());
+        assert!(
+            p99 <= P99_BOUND,
+            "request p99 {p99:?} over {P99_BOUND:?} at threads={threads}"
+        );
         for (i, (got, want)) in tcp.iter().zip(&reference).enumerate() {
             assert_eq!(
                 got, want,
@@ -287,7 +317,7 @@ fn partial_writes_accumulate_until_the_line_completes() {
 /// `ServeHandle::shutdown` joins every server thread and closes the
 /// listener: post-shutdown connects must not reach a live session.
 #[test]
-fn shutdown_closes_the_listener_on_both_transports() {
+fn shutdown_closes_the_listener() {
     let server = boot(None);
     let addr = server.addr();
     // One live session mid-conversation when shutdown lands.
@@ -431,7 +461,7 @@ fn pipeline_help_until_stalled(stream: &mut TcpStream, quiet: Duration) -> Resul
 /// admitting.  A zero budget makes the breach deterministic: every
 /// connection is over it.
 #[test]
-fn fleet_budget_sheds_new_connections_on_both_transports() {
+fn fleet_budget_sheds_new_connections() {
     let server = boot_with(SessionConfig {
         session_budget: Some(SessionBudget::Reject(0)),
         ..SessionConfig::default()
@@ -454,7 +484,7 @@ fn fleet_budget_sheds_new_connections_on_both_transports() {
 /// deterministic (zero budget), new connections are still admitted — the
 /// warn form must never convert into connection shedding.
 #[test]
-fn warn_fleet_budget_admits_new_connections_on_both_transports() {
+fn warn_fleet_budget_admits_new_connections() {
     let server = boot_with(SessionConfig {
         session_budget: Some(SessionBudget::Warn(0)),
         ..SessionConfig::default()

@@ -1,6 +1,8 @@
 //! Observability surface tests: the `METRICS` exposition's wire framing,
 //! byte-stability of the deterministic `STATS metrics` scope across the
-//! full parallelism matrix, the `NTGD_SESSION_BUDGET` admission cap, and
+//! full parallelism matrix, the `STATS classes` verdict of every generated
+//! program family, the process-wide `server_requests` counter, the
+//! `NTGD_SESSION_BUDGET` admission cap, and
 //! the `NTGD_SLOW_MS` slow-request log driven end to end over real TCP
 //! against the actual `ntgd-serve` binary (environment-configured logging
 //! is latched at process start, so it needs a subprocess to test).
@@ -12,6 +14,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ntgd_core::parallel;
+use ntgd_loadgen::{generate, Family, Verb, WorkloadSpec};
 use ntgd_server::{serve_tcp, Session, SessionBudget, SessionConfig};
 
 /// The parallelism knobs are process-global; tests that flip them
@@ -162,6 +165,61 @@ fn stats_metrics_is_byte_stable_across_threads() {
         parallel::set_thread_override(None);
         assert_eq!(reference, replay, "transcript differs at threads={threads}");
     }
+}
+
+#[test]
+fn every_family_classifies_to_a_terminating_verdict() {
+    // All four generator families are chase-terminating by construction
+    // (chain/star are full TGDs, the existential family is a forward
+    // weakly-acyclic chain, and the disjunctive family's positive transform
+    // is full), so `STATS classes` after their `LOAD` must report the
+    // terminating verdict, which lifts the chase budget for every generated
+    // workload.
+    for family in [
+        Family::Chain,
+        Family::Star,
+        Family::Existential,
+        Family::Disjunctive,
+    ] {
+        let workload = generate(&WorkloadSpec {
+            family,
+            sessions: 1,
+            ops: 1,
+            ..WorkloadSpec::default()
+        });
+        let load = &workload.sessions[0][0];
+        assert_eq!(load.verb, Verb::Load, "{family:?}: ops[0] is the LOAD");
+        let mut session = Session::new(SessionConfig::default());
+        let loaded = session.execute(&load.line).lines;
+        assert!(
+            loaded.last().unwrap().starts_with("OK"),
+            "{family:?}: LOAD failed: {loaded:?}"
+        );
+        let classes = session.execute("STATS classes").lines;
+        assert!(
+            classes.contains(&"STAT class_verdict=terminating".to_owned()),
+            "{family:?}: expected a terminating verdict, got {classes:?}"
+        );
+    }
+}
+
+#[test]
+fn server_requests_counter_is_monotone_over_stats_probes() {
+    let mut session = Session::new(SessionConfig::default());
+    let mut server_requests = || {
+        session
+            .execute("STATS")
+            .lines
+            .iter()
+            .find_map(|line| line.strip_prefix("STAT server_requests="))
+            .expect("STATS reports server_requests")
+            .parse::<u64>()
+            .expect("a count")
+    };
+    let first = server_requests();
+    let second = server_requests();
+    // Each probe is a request itself, so the counter strictly grows.
+    assert!(second > first, "{second} after {first}");
 }
 
 #[test]

@@ -140,16 +140,11 @@ fn every_relative_doc_link_resolves() {
 
 #[test]
 fn the_doc_set_cross_references_itself() {
-    // The three docs and the README form one navigation graph: each doc is
-    // reachable from the README, and PROTOCOL/OPERATIONS/WORKLOAD_SPEC all
-    // point at each other (a regression here usually means a rename broke
-    // the contract without updating the hub pages).
+    // The docs and the README form one navigation graph: each doc is
+    // reachable from the README (a regression here usually means a rename
+    // broke the contract without updating the hub page).
     let readme = std::fs::read_to_string(repo_root().join("README.md")).unwrap();
-    for doc in [
-        "docs/PROTOCOL.md",
-        "docs/OPERATIONS.md",
-        "docs/WORKLOAD_SPEC.md",
-    ] {
+    for doc in ["docs/PROTOCOL.md", "docs/OPERATIONS.md"] {
         assert!(readme.contains(doc), "README.md no longer links {doc}");
     }
 }
