@@ -1,4 +1,4 @@
-//! Regenerates every experiment row of `EXPERIMENTS.md`.
+//! Prints the rows of every paper experiment (E1–E14) to stdout.
 //!
 //! Usage:
 //!

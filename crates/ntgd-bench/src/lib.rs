@@ -1,8 +1,8 @@
 //! # ntgd-bench
 //!
 //! Workload generators and experiment drivers shared by the Criterion
-//! benchmarks (`benches/e*.rs`) and the `experiments` binary that regenerates
-//! every row of `EXPERIMENTS.md`.
+//! benchmarks (`benches/e*.rs`) and the `experiments` binary, which prints
+//! the row of every experiment E1–E14.
 //!
 //! Each `eN_*` function is pure computation over the library crates; the
 //! benchmarks measure their running time, the binary prints their results.

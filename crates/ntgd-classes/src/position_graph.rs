@@ -114,15 +114,6 @@ impl PositionGraph {
         self.edges.contains(&(from, to, kind))
     }
 
-    /// Successors of a position (any edge kind).
-    pub fn successors(&self, from: Position) -> Vec<(Position, EdgeKind)> {
-        self.edges
-            .iter()
-            .filter(|(f, _, _)| *f == from)
-            .map(|(_, t, k)| (*t, *k))
-            .collect()
-    }
-
     /// Computes the strongly connected components of the graph (Tarjan).
     /// Returns, for every position, the index of its component.
     pub fn strongly_connected_components(&self) -> BTreeMap<Position, usize> {

@@ -38,16 +38,6 @@ impl Atom {
         &self.args
     }
 
-    /// Mutable access to the argument terms (used by substitution application).
-    pub fn args_mut(&mut self) -> &mut [Term] {
-        &mut self.args
-    }
-
-    /// Consumes the atom and returns its arguments.
-    pub fn into_args(self) -> Vec<Term> {
-        self.args
-    }
-
     /// Returns `true` if the atom contains no variables.
     pub fn is_ground(&self) -> bool {
         self.args.iter().all(Term::is_ground)
@@ -123,11 +113,6 @@ impl Literal {
     /// The underlying atom.
     pub fn atom(&self) -> &Atom {
         &self.atom
-    }
-
-    /// Consumes the literal and returns the underlying atom.
-    pub fn into_atom(self) -> Atom {
-        self.atom
     }
 
     /// The complementary literal.

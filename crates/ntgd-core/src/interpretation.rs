@@ -384,11 +384,6 @@ impl Interpretation {
         self.overlay.arena.len()
     }
 
-    /// The shared base segment, if this interpretation was forked.
-    pub fn base_handle(&self) -> Option<&Arc<InterpretationBase>> {
-        self.base.as_ref()
-    }
-
     /// Inserts a ground atom into the positive part.  Returns `true` if it was
     /// new.
     ///

@@ -346,13 +346,6 @@ pub fn prometheus_lines() -> Vec<String> {
     render_prometheus(&counters, &gauges, &histograms)
 }
 
-/// [`prometheus_lines`] joined with a trailing newline (scrape-file form).
-pub fn prometheus_text() -> String {
-    let mut text = prometheus_lines().join("\n");
-    text.push('\n');
-    text
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -97,14 +97,6 @@ impl Program {
             .collect()
     }
 
-    /// Predicates that occur in some rule body.
-    pub fn body_predicates(&self) -> BTreeSet<Symbol> {
-        self.rules
-            .iter()
-            .flat_map(|r| r.body().iter().map(|l| l.atom().predicate()))
-            .collect()
-    }
-
     /// Predicates of the schema that never occur in a head: the *extensional*
     /// (database) schema `edb(Σ)` of Section 7.1.
     pub fn extensional_predicates(&self) -> BTreeSet<Symbol> {

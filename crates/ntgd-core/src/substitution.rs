@@ -114,11 +114,6 @@ impl Substitution {
         }
     }
 
-    /// Applies the substitution to a slice of atoms.
-    pub fn apply_atoms(&self, atoms: &[Atom]) -> Vec<Atom> {
-        atoms.iter().map(|a| self.apply_atom(a)).collect()
-    }
-
     /// Composition `other ∘ self`: first apply `self`, then `other`.
     pub fn then(&self, other: &Substitution) -> Substitution {
         let mut out = Substitution::new();

@@ -6,7 +6,7 @@ use ntgd_core::{CoreError, Database, Interpretation, Program, Query, Term};
 
 use crate::ground::{ground_program, GroundingLimits, GroundingOutcome};
 use crate::program::GroundProgram;
-use crate::skolem::{skolemize, SkolemProgram};
+use crate::skolem::skolemize;
 use crate::stable::{stable_models, StableEnumerationLimits};
 use crate::wellfounded::{well_founded_model, WellFoundedModel};
 
@@ -61,7 +61,6 @@ pub enum LpAnswer {
 /// The LP-approach engine: Skolemize, ground, enumerate stable models, answer
 /// queries.
 pub struct LpEngine {
-    skolem: SkolemProgram,
     ground: GroundProgram,
     models: Vec<Interpretation>,
     extra_domain: BTreeSet<Term>,
@@ -99,16 +98,10 @@ impl LpEngine {
             })
             .collect();
         Ok(LpEngine {
-            skolem,
             ground,
             models,
             extra_domain,
         })
-    }
-
-    /// The Skolemized program.
-    pub fn skolem_program(&self) -> &SkolemProgram {
-        &self.skolem
     }
 
     /// The relevant ground program.

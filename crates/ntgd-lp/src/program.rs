@@ -110,13 +110,6 @@ impl GroundProgram {
             .flat_map(|a| a.terms().copied().collect::<Vec<_>>())
             .collect()
     }
-
-    /// Computes the least model of the **positive** rules (negative bodies
-    /// removed entirely would be wrong, so callers must pass reducts); this
-    /// helper ignores rules that still carry negative literals.
-    pub fn least_model_of_positive_rules(&self) -> BTreeSet<Atom> {
-        least_model(self.rules.iter().filter(|r| r.is_positive()))
-    }
 }
 
 impl fmt::Display for GroundProgram {

@@ -57,11 +57,6 @@ impl CnfBuilder {
         self.clause(&[lit]);
     }
 
-    /// Adds `a → b`.
-    pub fn implies(&mut self, a: Lit, b: Lit) {
-        self.clause(&[!a, b]);
-    }
-
     /// Adds the clause `¬negated₁ ∨ … ∨ ¬negatedₙ ∨ plain₁ ∨ … ∨ plainₘ`,
     /// built in the scratch buffer.
     fn clause_of(&mut self, negated: &[Lit], plain: &[Lit]) {
@@ -188,11 +183,6 @@ impl CnfBuilder {
     /// Read-only access to the underlying solver (for statistics).
     pub fn solver(&self) -> &Solver {
         &self.solver
-    }
-
-    /// Mutable access to the underlying solver.
-    pub fn solver_mut(&mut self) -> &mut Solver {
-        &mut self.solver
     }
 }
 

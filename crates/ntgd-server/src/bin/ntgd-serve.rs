@@ -4,12 +4,15 @@
 //! ntgd-serve [--repl]                          # one session on stdin/stdout
 //! ntgd-serve --listen 127.0.0.1:7171           # one session per TCP connection
 //!            [--max-steps N] [--max-models N]  # session limits
-//!            [--max-sessions N]                # admission cap (default:
-//!                                              #   NTGD_MAX_SESSIONS, then none)
+//!            [--max-sessions N]                # admission cap (default: none)
 //!            [--idle-timeout MS]               # reap silent connections
-//!                                              #   (default: NTGD_IDLE_TIMEOUT,
-//!                                              #   then never; TCP only)
+//!                                              #   (default: never; TCP only)
 //! ```
+//!
+//! This is the one place a process's configuration is read: the flags
+//! above, plus the two operator settings without a flag,
+//! `NTGD_SESSION_BUDGET` and `NTGD_SLOW_MS` (see `docs/OPERATIONS.md`).
+//! Every process installs one shared-base registry.
 //!
 //! In TCP mode the bound address is announced on stdout as
 //! `LISTENING <addr>` (bind to port 0 to let the OS pick), then the process
@@ -18,8 +21,9 @@
 
 use std::net::TcpListener;
 use std::process::ExitCode;
+use std::sync::Arc;
 
-use ntgd_server::{serve_repl, serve_tcp, BaseRegistry, SessionConfig};
+use ntgd_server::{serve_repl, serve_tcp, BaseRegistry, SessionBudget, SessionConfig};
 
 fn usage() -> &'static str {
     "usage: ntgd-serve [--repl | --listen <addr>] [--max-steps N] [--max-models N] \
@@ -28,7 +32,16 @@ fn usage() -> &'static str {
 
 fn main() -> ExitCode {
     let mut listen: Option<String> = None;
-    let mut config = SessionConfig::default();
+    // One shared-base registry per process: sessions that LOAD the same
+    // program fork one frozen chased base instead of each re-chasing it
+    // (see the ntgd_server crate docs).
+    let env = |name| std::env::var(name).unwrap_or_default();
+    let mut config = SessionConfig {
+        base_registry: Some(Arc::new(BaseRegistry::new())),
+        session_budget: SessionBudget::parse(&env("NTGD_SESSION_BUDGET")),
+        slow_ms: env("NTGD_SLOW_MS").trim().parse().ok(),
+        ..SessionConfig::default()
+    };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -65,10 +78,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    // One shared-base registry per process: sessions that LOAD the same
-    // program fork one frozen chased base instead of each re-chasing it
-    // (disable with NTGD_SHARED_BASE=0; see the ntgd_server crate docs).
-    config.base_registry = BaseRegistry::from_env();
     let outcome = match listen {
         None => serve_repl(config),
         Some(addr) => match TcpListener::bind(&addr) {

@@ -21,10 +21,10 @@
 //!   bounded: a request line may be up to [`MAX_LINE`] bytes, and a client
 //!   that stops reading stalls instead of growing server memory.  A TCP
 //!   transcript is byte-identical to the same script run through
-//!   [`handle_session`] in memory.  `NTGD_MAX_SESSIONS` caps live
-//!   sessions (over the cap: one `ERR server at capacity` line, no
-//!   banner).  [`serve`] returns a
-//!   [`ServeHandle`] for graceful shutdown; [`serve_tcp`] blocks.
+//!   [`handle_session`] in memory.  `--max-sessions` caps live sessions
+//!   (over the cap: one `ERR server at capacity` line, no banner).
+//!   [`serve`] returns a [`ServeHandle`] for graceful shutdown;
+//!   [`serve_tcp`] blocks.
 //! * **REPL** (`ntgd-serve` or `--repl`): a single session on
 //!   stdin/stdout ([`serve_repl`]) — also what the CI smoke test scripts.
 //!
@@ -93,9 +93,10 @@
 //! pure function of the request history and therefore byte-stable across
 //! thread counts (asserted like the other scopes).
 //! `NTGD_OBS=0` disables the registry; `NTGD_LOG`/`NTGD_LOG_LEVEL` enable
-//! the structured JSON-lines event log; `NTGD_SLOW_MS` logs slow requests;
-//! `NTGD_SESSION_BUDGET` caps per-session cumulative execution time
-//! ([`session::SessionBudget`]).  Hard contract: apart from an explicitly
+//! the structured JSON-lines event log; `NTGD_SLOW_MS` logs slow requests
+//! and `NTGD_SESSION_BUDGET` caps per-session cumulative execution time
+//! ([`SessionBudget`]), both read by `ntgd-serve` into its
+//! [`SessionConfig`] at startup.  Hard contract: apart from an explicitly
 //! configured budget, timing data never influences execution decisions —
 //! transcripts are bit-identical with observability on or off
 //! (`tests/differential_oracle.rs`).
@@ -168,17 +169,15 @@
 //! thread count or machine — so scripted transcripts (CI's `server-smoke`)
 //! can assert them verbatim.
 //!
-//! To disable the cache for debugging set `NTGD_SMS_INCREMENTAL=0` (or
-//! construct the session with [`SessionConfig::incremental_models`] off):
-//! every `MODELS sms` then grounds from scratch — the oracle path of the
+//! A session constructed with [`SessionConfig::incremental_models`] off
+//! grounds every `MODELS sms` from scratch — the oracle path of the
 //! differential tests — and `STATS` reports `sms_incremental=false`.
 //!
 //! # Shared-base caching contract
 //!
 //! With a [`BaseRegistry`] attached ([`SessionConfig::base_registry`]; the
-//! `ntgd-serve` binary installs one per process unless `NTGD_SHARED_BASE=0`),
-//! sessions that `LOAD` the same program share one chased base instead of
-//! each re-chasing it:
+//! `ntgd-serve` binary installs one per process), sessions that `LOAD` the
+//! same program share one chased base instead of each re-chasing it:
 //!
 //! * **Identity.**  A base is keyed by the *canonical program text* — the
 //!   trimmed `LOAD` payload, initial facts included — plus the session's
@@ -186,10 +185,10 @@
 //!   Textually different spellings of one program miss the cache
 //!   (conservative: two distinct programs can never alias); a changed step
 //!   budget is a different key, since it could freeze a different fixpoint
-//!   attempt — and so is a flipped `NTGD_CLASSIFY`, since a classified
-//!   session may chase a terminating program unbounded where a blind one
-//!   must stop at the budget, and sharing across that line would make
-//!   `LOAD` outcomes depend on registry arrival order.
+//!   attempt — and so is a flipped [`SessionConfig::classify`], since a
+//!   classified session may chase a terminating program unbounded where a
+//!   blind one must stop at the budget, and sharing across that line would
+//!   make `LOAD` outcomes depend on registry arrival order.
 //! * **First `LOAD` (miss).**  The session parses, compiles, chases the
 //!   initial facts to a fixpoint, eagerly grounds the `MODELS sms` closure
 //!   of those facts, then freezes everything — arena, compiled plans,
@@ -218,15 +217,17 @@
 //! watermark, and the per-key registry counters `base_registry_hits`,
 //! `base_registry_misses`, `base_rebuilds` and `base_forks`.
 
+mod accounting;
 pub mod protocol;
 pub mod registry;
 pub mod server;
 pub mod session;
 
+pub use accounting::{server_requests, SessionBudget};
 pub use protocol::{parse_command, Command, ModelsMode, Response, StatsScope, HELP_LINES};
 pub use registry::{BaseEntry, BaseKey, BaseRegistry, BaseStats};
 pub use server::{
     handle_session, serve, serve_repl, serve_tcp, Conn, ConnSnapshot, ConnStats, LineBuffer,
     ServeHandle, MAX_LINE,
 };
-pub use session::{server_requests, Session, SessionBudget, SessionConfig};
+pub use session::{Session, SessionConfig};

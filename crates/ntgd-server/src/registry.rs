@@ -125,8 +125,8 @@ pub struct BaseEntry {
     /// The deduplicated initial facts, in assertion order.
     pub(crate) facts: Vec<Atom>,
     /// The program's classification, computed once by the registering
-    /// session (`None` when it classified with `NTGD_CLASSIFY=0`); forks
-    /// inherit the verdict instead of reclassifying.
+    /// session (`None` when its [`crate::SessionConfig::classify`] was
+    /// off); forks inherit the verdict instead of reclassifying.
     pub(crate) class: Option<ProgramClass>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -158,15 +158,6 @@ impl BaseEntry {
         }
     }
 
-    /// Atoms in the frozen base (the chased arena, or the fact count when
-    /// the program is disjunctive and has no chase).
-    pub fn base_atoms(&self) -> usize {
-        self.chase
-            .as_ref()
-            .map(|chase| chase.instance().len())
-            .unwrap_or(self.facts.len())
-    }
-
     /// This entry's counters, copied at the call.
     pub fn stats(&self) -> BaseStats {
         BaseStats {
@@ -183,10 +174,10 @@ impl BaseEntry {
 }
 
 /// The registry itself: a mutex-guarded map from [`BaseKey`] to
-/// [`BaseEntry`].  Create one per process (the `ntgd-serve` binary does,
-/// unless `NTGD_SHARED_BASE=0`) and share it via
-/// [`crate::SessionConfig::base_registry`]; the `Arc` in the config is what
-/// makes every per-connection clone point at the same registry.
+/// [`BaseEntry`].  Create one per process (the `ntgd-serve` binary does)
+/// and share it via [`crate::SessionConfig::base_registry`]; the `Arc` in
+/// the config is what makes every per-connection clone point at the same
+/// registry.
 #[derive(Default)]
 pub struct BaseRegistry {
     entries: Mutex<HashMap<BaseKey, Arc<BaseEntry>>>,
@@ -196,15 +187,6 @@ impl BaseRegistry {
     /// An empty registry.
     pub fn new() -> BaseRegistry {
         BaseRegistry::default()
-    }
-
-    /// The process default: a fresh shared registry, or `None` when the
-    /// `NTGD_SHARED_BASE=0` escape hatch disables base sharing (every
-    /// session then builds privately, the pre-registry behaviour).
-    pub fn from_env() -> Option<Arc<BaseRegistry>> {
-        std::env::var("NTGD_SHARED_BASE")
-            .map_or(true, |value| value != "0")
-            .then(|| Arc::new(BaseRegistry::new()))
     }
 
     /// Looks a key up, recording a hit when found.

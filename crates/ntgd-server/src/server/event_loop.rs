@@ -79,17 +79,6 @@ fn waker_pair() -> io::Result<(Waker, TcpStream)> {
     Ok((Waker { tx }, rx))
 }
 
-/// Poller shards: enough to spread socket I/O without competing with the
-/// reasoning pool for cores (execution parallelism comes from the pool, not
-/// from shard count).  `NTGD_POLLERS` overrides.
-fn shard_count() -> usize {
-    std::env::var("NTGD_POLLERS")
-        .ok()
-        .and_then(|value| value.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| parallel::num_threads().clamp(1, 4))
-}
-
 /// Spawns the acceptor and the shard threads; returns their handles plus
 /// the wakers the [`ServeHandle`](crate::server::ServeHandle) uses for
 /// shutdown.
@@ -104,7 +93,10 @@ pub(super) fn spawn(
     Vec<JoinHandle<()>>,
     Arc<Vec<Waker>>,
 )> {
-    let shards = shard_count();
+    // Poller shards: enough to spread socket I/O without competing with the
+    // reasoning pool for cores (execution parallelism comes from the pool,
+    // not from shard count).
+    let shards = parallel::num_threads().clamp(1, 4);
     let mut inboxes: Vec<Arc<Mutex<Vec<Conn>>>> = Vec::with_capacity(shards);
     let mut wakers: Vec<Waker> = Vec::with_capacity(shards);
     let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(shards);

@@ -44,7 +44,8 @@ use ntgd_core::obs::{
     log::{FieldValue, Level, RateLimit},
 };
 
-use crate::session::{server_exec_ns, Session, SessionBudget, SessionConfig};
+use crate::accounting;
+use crate::session::{Session, SessionConfig};
 
 /// The banner sent when a session opens (protocol version 1).
 pub const BANNER: &str = "READY ntgd-serve protocol=1";
@@ -75,8 +76,8 @@ pub struct ConnSnapshot {
     /// High-water mark of `active`.
     pub peak: u64,
     /// Connections turned away at admission — by the `max_sessions` cap or
-    /// by the fleet-wide [`SessionBudget`] reject allowance (warn-mode
-    /// budgets only log, never shed).
+    /// by the fleet-wide [`SessionBudget`](crate::SessionBudget) reject
+    /// allowance (warn-mode budgets only log, never shed).
     pub rejected: u64,
     /// Connections reaped by the idle-session timeout
     /// ([`SessionConfig::idle_timeout`], TCP only).
@@ -249,63 +250,16 @@ fn next_conn(
     }
 }
 
-/// Whether cumulative fleet spend exceeds the aggregate allowance earned by
-/// every session ever admitted, the would-be one included.  Scaling by
-/// admissions-ever (not live sessions) is what lets allowance keep pace
-/// with spend through session churn: dead sessions' spend stays in the
-/// cumulative total, so their allowance must stay in the aggregate too, or
-/// a long-lived server would eventually reject every connection while idle.
-fn fleet_over_allowance(cap_ms: u64, spent_ms: u64, accepted: u64) -> bool {
-    spent_ms >= cap_ms.saturating_mul(accepted.saturating_add(1))
-}
-
-/// The fleet-budget breach is worth a structured trace even in warn mode,
-/// where it never sheds — rate-limited so a busy accept loop cannot flood
-/// the sink.
-static FLEET_BUDGET_EVENTS: RateLimit = RateLimit::new(Duration::from_secs(1));
-
-/// TCP admission control: a connection over the
-/// `max_sessions` cap — or arriving while the fleet is over its cumulative
-/// [`SessionBudget`] **reject** allowance — gets a single `ERR server at
-/// capacity` line (no banner — clients can tell rejection from a session)
-/// and is closed.  The fleet check grants every session *ever admitted*
-/// (the would-be one included) the per-session budget, so session churn
-/// keeps earning allowance and a long-lived server never wedges itself
-/// shut on spend from sessions that already disconnected; it sheds *new*
-/// work once cumulative execution time exceeds that aggregate — live
-/// sessions are never touched, so the budget degrades admission, not
-/// service.  A `warn:` budget never sheds: a breach only emits a
-/// rate-limited `fleet_budget_exceeded` log event, matching its
-/// observability-only contract for the compute verbs.  Returns whether the
-/// connection was admitted; an admitted connection is already counted in
-/// `stats`.
+/// TCP admission control: a connection over the `max_sessions` cap, or one
+/// the fleet budget sheds ([`accounting::fleet_sheds`]), gets a single `ERR
+/// server at capacity` line (no banner — clients can tell rejection from a
+/// session) and is closed.  Returns whether the connection was admitted;
+/// an admitted connection is already counted in `stats`.
 fn admit(stream: &TcpStream, stats: &ConnStats, config: &SessionConfig) -> bool {
     let active = stats.active.load(Ordering::Relaxed);
+    let accepted = stats.accepted.load(Ordering::Relaxed);
     let over_cap = config.max_sessions.is_some_and(|cap| active >= cap as u64);
-    let over_fleet_budget = config.session_budget.is_some_and(|budget| {
-        let cap_ms = match budget {
-            SessionBudget::Reject(ms) | SessionBudget::Warn(ms) => ms,
-        };
-        let accepted = stats.accepted.load(Ordering::Relaxed);
-        let spent_ms = server_exec_ns() / 1_000_000;
-        let over = fleet_over_allowance(cap_ms, spent_ms, accepted);
-        if over && matches!(budget, SessionBudget::Warn(_)) {
-            if FLEET_BUDGET_EVENTS.allow() && obs::log::log_enabled(Level::Warn) {
-                obs::log::log_event(
-                    Level::Warn,
-                    "fleet_budget_exceeded",
-                    &[
-                        ("spent_ms", FieldValue::from(spent_ms)),
-                        ("budget_ms", FieldValue::from(cap_ms)),
-                        ("accepted", FieldValue::from(accepted)),
-                        ("active", FieldValue::from(active)),
-                    ],
-                );
-            }
-            return false;
-        }
-        over
-    });
+    let over_fleet_budget = accounting::fleet_sheds(config.session_budget, accepted, active);
     if over_cap || over_fleet_budget {
         stats.rejected();
         let _ = stream.set_nodelay(true);
@@ -507,22 +461,6 @@ mod tests {
         assert_eq!(snap.active, 2);
         assert_eq!(snap.peak, 2);
         assert_eq!(snap.rejected, 1);
-    }
-
-    #[test]
-    fn fleet_allowance_scales_with_admissions_ever_not_live_sessions() {
-        // Churn scenario: 1000ms of lifetime spend left by dead sessions,
-        // 100ms per-session cap, server idle.  Twelve admissions earned
-        // 1300ms of aggregate allowance — the next connection is admitted.
-        assert!(!fleet_over_allowance(100, 1000, 12));
-        // Only five admissions earned 600ms — the spend exceeds it, shed.
-        assert!(fleet_over_allowance(100, 1000, 5));
-        // A zero budget is breached by definition (the deterministic case
-        // the e2e shedding test leans on).
-        assert!(fleet_over_allowance(0, 0, 0));
-        // The aggregate saturates instead of overflowing.
-        assert!(!fleet_over_allowance(u64::MAX, u64::MAX - 1, 3));
-        assert!(fleet_over_allowance(u64::MAX, u64::MAX, u64::MAX));
     }
 
     #[test]

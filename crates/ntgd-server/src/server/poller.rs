@@ -246,9 +246,11 @@ impl Drop for EpollPoller {
 
 /// The portable fallback: a 1ms-cadence scan over registered sockets using
 /// `TcpStream::peek` for read readiness (only while read interest is
-/// armed); write readiness is assumed whenever write interest is armed (a
-/// blocked `write` then simply returns `WouldBlock` again — correct, just
-/// not as idle-efficient as `epoll`).
+/// armed).  Write readiness is assumed whenever write interest is armed,
+/// but reported only at the scan cadence: a readable socket returns at
+/// once, while a wait that finds only write interest sleeps one scan first.
+/// A blocked `write` then returns `WouldBlock` again at most once a
+/// millisecond, so a peer that stops reading cannot spin the shard.
 pub(super) struct ScanPoller {
     entries: Vec<ScanEntry>,
 }
@@ -301,6 +303,7 @@ impl ScanPoller {
     fn wait(&mut self, timeout: Duration, out: &mut Vec<Event>) -> io::Result<()> {
         out.clear();
         let deadline = Instant::now() + timeout;
+        let mut scanned = false;
         loop {
             let mut probe = [0u8; 1];
             for entry in &self.entries {
@@ -320,9 +323,12 @@ impl ScanPoller {
                     });
                 }
             }
-            if !out.is_empty() || Instant::now() >= deadline {
+            let readable = out.iter().any(|event| event.readable);
+            if readable || (scanned && !out.is_empty()) || Instant::now() >= deadline {
                 return Ok(());
             }
+            out.clear();
+            scanned = true;
             std::thread::sleep(Duration::from_millis(1));
         }
     }
@@ -336,5 +342,37 @@ pub(super) fn drain(stream: &TcpStream) {
         if n == 0 {
             break;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn scan_reports_write_only_readiness_at_the_scan_cadence() {
+        // A connected pair whose peer never reads: with write interest
+        // armed, every wait must still sleep a scan instead of returning
+        // at once, or a shard holding a parked non-reader spins.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (_peer, _) = listener.accept().unwrap();
+        let mut poller = ScanPoller::new();
+        poller.register(&stream, 7, (false, true)).unwrap();
+        let mut events = Vec::new();
+        let started = Instant::now();
+        for _ in 0..10 {
+            poller
+                .wait(Duration::from_millis(200), &mut events)
+                .unwrap();
+            assert_eq!(events.len(), 1);
+            assert!(events[0].writable && !events[0].readable);
+        }
+        assert!(
+            started.elapsed() >= Duration::from_millis(10),
+            "ten write-only waits took {:?}",
+            started.elapsed()
+        );
     }
 }

@@ -1,190 +1,31 @@
 //! One reasoning session: a loaded program, its incrementally chased arena
 //! instance, the epoch-mark history, and session-scoped model enumeration.
+//! What the server records about each request lives in the `accounting`
+//! module; how a process is configured lives in the `ntgd-serve` binary.
 
 use std::collections::HashSet;
 use std::fmt::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ntgd_chase::{ChaseConfig, EpochMark, IncrementalChase};
 use ntgd_classes::ClassVerdict;
-use ntgd_core::obs::{self, log::FieldValue, log::Level};
-use ntgd_core::{parallel, Atom, Database, DisjunctiveProgram, Program, Query, Term};
+use ntgd_core::{obs, parallel, Atom, Database, DisjunctiveProgram, Program, Query, Term};
 use ntgd_lp::{LpEngine, LpLimits};
 use ntgd_parser::{parse_database, parse_query, parse_unit};
 use ntgd_sms::{
     AtomSet, GroundSmsProgram, GroundingLimits, IncrementalSmsState, NullBudget, SmsEngine,
 };
 
+use crate::accounting::{server_requests, Accounting, SessionBudget};
 use crate::protocol::{parse_command, Command, ModelsMode, Response, StatsScope};
 use crate::registry::{BaseEntry, BaseKey, BaseRegistry, ProgramClass};
 use crate::server::ConnStats;
 
-/// Process-wide count of protocol requests executed across every session
-/// (blank/comment lines excluded; malformed requests included — they
-/// produced an `ERR` response).  `STATS` reports it as `server_requests`,
-/// so a client can confirm the server saw every request it sent.
-static SERVER_REQUESTS: AtomicU64 = AtomicU64::new(0);
-
-/// The current process-wide request count (see `SERVER_REQUESTS` above).
-pub fn server_requests() -> u64 {
-    SERVER_REQUESTS.load(Ordering::Relaxed)
-}
-
-/// Process-wide cumulative request execution wall time (nanoseconds) across
-/// every session, dead or alive.  The admission-control fleet budget (see
-/// `crate::server`) reads it to shed new connections when the whole fleet is
-/// over its aggregate [`SessionBudget`] allowance.
-static SERVER_EXEC_NS: AtomicU64 = AtomicU64::new(0);
-
-/// The cumulative execution wall time above, in nanoseconds.
-pub fn server_exec_ns() -> u64 {
-    SERVER_EXEC_NS.load(Ordering::Relaxed)
-}
-
-/// Monotonic session ids (the structured log correlates events by them).
-static SESSION_IDS: AtomicU64 = AtomicU64::new(1);
-
-/// Process-wide count of requests answered `ERR`, served by `METRICS`.
-static REQ_ERRORS: obs::Counter = obs::Counter::new("server.requests.errors");
-static BUDGET_REJECTIONS: obs::Counter = obs::Counter::new("server.budget_rejections");
-
-/// Per-`LOAD` classification-verdict counters (tentpole of the
-/// decidability-aware front door): every installed program bumps the counter
-/// of its verdict, so `METRICS` shows how much of the fleet's traffic runs
-/// on the budget-free fast path.
-static CLASS_TERMINATING: obs::Counter = obs::Counter::new("server.class.terminating");
-static CLASS_DECIDABLE: obs::Counter = obs::Counter::new("server.class.decidable");
-static CLASS_OUT_OF_FRAGMENT: obs::Counter = obs::Counter::new("server.class.out_of_fragment");
-
-/// The process-wide counter for a classification verdict.
-fn class_counter(verdict: ClassVerdict) -> &'static obs::Counter {
-    match verdict {
-        ClassVerdict::Terminating => &CLASS_TERMINATING,
-        ClassVerdict::Decidable => &CLASS_DECIDABLE,
-        ClassVerdict::OutOfFragment => &CLASS_OUT_OF_FRAGMENT,
-    }
-}
-
-/// One protocol verb's metric names: its label (the `STATS metrics` key
-/// suffix and the slow-log `verb`), its process-wide `METRICS` request
-/// counter, and its wall-time histogram.
-struct VerbMetrics {
-    label: &'static str,
-    counter: obs::Counter,
-    histogram: &'static str,
-}
-
-macro_rules! verb_metrics {
-    ($label:literal) => {
-        VerbMetrics {
-            label: $label,
-            counter: obs::Counter::new(concat!("server.requests.", $label)),
-            histogram: concat!("server.request.", $label),
-        }
-    };
-}
-
-/// Every protocol verb, in `STATS metrics` order; [`verb_index`] maps a
-/// command to its row.  The process-wide counters here aggregate every
-/// session in the process, unlike the session-local [`RequestCounters`].
-static VERBS: [VerbMetrics; 10] = [
-    verb_metrics!("load"),
-    verb_metrics!("assert"),
-    verb_metrics!("query"),
-    verb_metrics!("models"),
-    verb_metrics!("retract"),
-    verb_metrics!("stats"),
-    verb_metrics!("metrics"),
-    verb_metrics!("ping"),
-    verb_metrics!("help"),
-    verb_metrics!("quit"),
-];
-
-/// The [`VERBS`] row of a parsed command (`None` for blank/comment lines,
-/// which are not requests).
-fn verb_index(command: &Command) -> Option<usize> {
-    match command {
-        Command::Load(_) => Some(0),
-        Command::Assert(_) => Some(1),
-        Command::Query(_) => Some(2),
-        Command::Models { .. } => Some(3),
-        Command::RetractTo(_) => Some(4),
-        Command::Stats { .. } => Some(5),
-        Command::Metrics => Some(6),
-        Command::Ping => Some(7),
-        Command::Help => Some(8),
-        Command::Quit => Some(9),
-        Command::Nop => None,
-    }
-}
-
-/// The session-local per-verb request tallies behind `STATS metrics`.
-/// Every field is a pure function of the session's request history —
-/// never of wall time or thread count — so transcripts assert
-/// the scope verbatim like `STATS sms`/`base`/`conn`.
-#[derive(Clone, Copy, Debug, Default)]
-struct RequestCounters {
-    total: u64,
-    /// Requests per [`VERBS`] row.
-    verbs: [u64; VERBS.len()],
-    /// Requests answered with `ERR` (parse failures included).
-    errors: u64,
-}
-
-impl RequestCounters {
-    fn stat_lines(&self) -> Vec<String> {
-        let mut lines = Vec::with_capacity(VERBS.len() + 2);
-        lines.push(format!("STAT requests_total={}", self.total));
-        for (verb, count) in VERBS.iter().zip(self.verbs) {
-            lines.push(format!("STAT requests_{}={count}", verb.label));
-        }
-        lines.push(format!("STAT requests_errors={}", self.errors));
-        lines
-    }
-}
-
-/// The `NTGD_SESSION_BUDGET` admission cap: a per-session ceiling on
-/// cumulative execution wall time.  `"<ms>"` rejects compute requests once
-/// the session has spent that many milliseconds; `"warn:<ms>"` only emits
-/// one `budget_exceeded` log event per session.  The budget also feeds the
-/// fleet-wide admission check (see `crate::server`): under the reject form,
-/// new connections are shed with `ERR server at capacity` while the
-/// process's cumulative execution time exceeds the per-session allowance ×
-/// (sessions ever admitted + 1); the warn form never sheds — a breach only
-/// emits a rate-limited `fleet_budget_exceeded` event.  Off by default —
-/// enabling it makes responses depend on wall time, trading away the
-/// determinism contract for the protected verbs (inspection verbs are
-/// always allowed).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SessionBudget {
-    /// Reject compute requests past the cap (milliseconds).
-    Reject(u64),
-    /// Log once past the cap (milliseconds), keep serving.
-    Warn(u64),
-}
-
-impl SessionBudget {
-    /// Parses a `NTGD_SESSION_BUDGET` value; `None` for anything malformed.
-    pub fn parse(text: &str) -> Option<SessionBudget> {
-        let text = text.trim();
-        if let Some(ms) = text.strip_prefix("warn:") {
-            return ms.trim().parse::<u64>().ok().map(SessionBudget::Warn);
-        }
-        text.parse::<u64>().ok().map(SessionBudget::Reject)
-    }
-
-    /// The configured cap from the environment, if any.
-    pub fn from_env() -> Option<SessionBudget> {
-        std::env::var("NTGD_SESSION_BUDGET")
-            .ok()
-            .as_deref()
-            .and_then(SessionBudget::parse)
-    }
-}
-
-/// Per-session limits.
+/// Per-session limits, plus the state a serving process shares between its
+/// sessions.  The default is a fixed set of constants and reads no
+/// environment, so an embedded session behaves the same wherever it runs;
+/// `ntgd-serve` fills one in from its flags and operator settings.
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
     /// Step budget of one incremental re-chase (one `ASSERT`); exceeding it
@@ -193,22 +34,21 @@ pub struct SessionConfig {
     /// Default cap on the number of models returned by `MODELS`.
     pub max_models: usize,
     /// Whether `MODELS sms` reuses the session's incremental grounding state
-    /// ([`ntgd_sms::IncrementalSmsState`]).  Disabled, every request grounds
-    /// from scratch — the oracle path the differential tests compare
-    /// against, and a debugging escape hatch (`NTGD_SMS_INCREMENTAL=0`).
+    /// ([`ntgd_sms::IncrementalSmsState`]).  On by default.  Off, every
+    /// request grounds from scratch: the oracle path the differential tests
+    /// compare against.
     pub incremental_models: bool,
     /// The process-wide shared-base registry, if base sharing is on: the
     /// first `LOAD` of a program chases and freezes its base there, and
     /// every later `LOAD` of the same payload forks it copy-on-write
     /// instead of re-chasing (see the crate documentation's *shared-base
     /// caching contract*).  `None` (the default) builds every session
-    /// privately; `ntgd-serve` installs one registry per process unless
-    /// `NTGD_SHARED_BASE=0`.
+    /// privately; `ntgd-serve` installs one registry per process.
     pub base_registry: Option<Arc<BaseRegistry>>,
     /// Admission cap on concurrently live TCP sessions; a connection over
     /// the cap is answered with a single `ERR server at capacity` line and
-    /// closed (no banner).  `None` (the default) accepts without limit.
-    /// Defaults from `NTGD_MAX_SESSIONS`.
+    /// closed (no banner).  `None` (the default) accepts without limit;
+    /// `ntgd-serve --max-sessions` sets it.
     pub max_sessions: Option<usize>,
     /// The serving transport's connection counters, installed by
     /// `serve`/`serve_repl` so `STATS conn` can report them.  `None` for
@@ -216,12 +56,14 @@ pub struct SessionConfig {
     /// and zeros).
     pub conn_stats: Option<Arc<ConnStats>>,
     /// Optional per-session cumulative execution-time cap (see
-    /// [`SessionBudget`]).  Defaults from `NTGD_SESSION_BUDGET`; `None`
-    /// (the default) never consults timing for any decision.
+    /// [`SessionBudget`]); `ntgd-serve` reads it from
+    /// `NTGD_SESSION_BUDGET`.  `None` (the default) never consults timing
+    /// for any decision.
     pub session_budget: Option<SessionBudget>,
     /// Slow-request log threshold in milliseconds: a request whose wall
     /// time reaches it emits a `slow_request` event to the structured log
-    /// (`NTGD_LOG`).  Defaults from `NTGD_SLOW_MS`; `None` disables.
+    /// (`NTGD_LOG`); `ntgd-serve` reads it from `NTGD_SLOW_MS`.  `None`
+    /// (the default) disables.
     pub slow_ms: Option<u64>,
     /// Whether `LOAD` classifies the program against the decidability
     /// landscape (`ntgd_classes::classify`) and exploits the verdict:
@@ -229,14 +71,14 @@ pub struct SessionConfig {
     /// exact `Auto` null budget; out-of-fragment programs keep the budget
     /// and get a one-line `WARN` on `LOAD`.  Classification is purely
     /// syntactic (timing-independent), so transcripts stay deterministic.
-    /// On by default; `NTGD_CLASSIFY=0` restores the blind-budget
-    /// behaviour.
+    /// On by default; off is the blind-budget oracle the differential tests
+    /// compare against.
     pub classify: bool,
     /// Idle-session timeout for TCP sessions: a connection whose peer has
     /// neither sent nor accepted bytes for this long is closed and its
-    /// admission slot released (counted as `conn_idle_closed` in `STATS conn`).  Defaults
-    /// from `NTGD_IDLE_TIMEOUT` (milliseconds); `None` (the default) never
-    /// reaps.
+    /// admission slot released (counted as `conn_idle_closed` in `STATS
+    /// conn`).  `None` (the default) never reaps; `ntgd-serve
+    /// --idle-timeout` sets it.
     pub idle_timeout: Option<Duration>,
 }
 
@@ -245,24 +87,14 @@ impl Default for SessionConfig {
         SessionConfig {
             max_steps: 100_000,
             max_models: 64,
-            incremental_models: std::env::var("NTGD_SMS_INCREMENTAL")
-                .map_or(true, |value| value != "0"),
+            incremental_models: true,
             base_registry: None,
-            max_sessions: std::env::var("NTGD_MAX_SESSIONS")
-                .ok()
-                .and_then(|value| value.trim().parse::<usize>().ok())
-                .filter(|&cap| cap > 0),
+            max_sessions: None,
             conn_stats: None,
-            session_budget: SessionBudget::from_env(),
-            slow_ms: std::env::var("NTGD_SLOW_MS")
-                .ok()
-                .and_then(|value| value.trim().parse::<u64>().ok()),
-            classify: std::env::var("NTGD_CLASSIFY").map_or(true, |value| value != "0"),
-            idle_timeout: std::env::var("NTGD_IDLE_TIMEOUT")
-                .ok()
-                .and_then(|value| value.trim().parse::<u64>().ok())
-                .filter(|&ms| ms > 0)
-                .map(Duration::from_millis),
+            session_budget: None,
+            slow_ms: None,
+            classify: true,
+            idle_timeout: None,
         }
     }
 }
@@ -303,11 +135,9 @@ struct Loaded {
     /// `STATS base` overlay count for chase-less (disjunctive) sessions.
     base_facts: usize,
     /// The program's decidability classification (`None` when
-    /// [`SessionConfig::classify`] is off).
+    /// [`SessionConfig::classify`] is off); inherited, not computed, when
+    /// the state was forked (`STATS classes` provenance).
     class: Option<ProgramClass>,
-    /// Whether the classification was inherited from a registered base
-    /// (`STATS classes` provenance) rather than computed by this session.
-    class_inherited: bool,
 }
 
 /// The chase step budget the classification verdict supports: unbounded for
@@ -337,89 +167,62 @@ fn null_budget_for(class: Option<&ProgramClass>) -> NullBudget {
 pub struct Session {
     config: SessionConfig,
     loaded: Option<Loaded>,
-    /// Process-unique id, correlating this session's log events.
-    id: u64,
-    /// Cumulative wall time spent executing this session's requests.
-    exec_ns: u64,
-    /// Whether a `Warn` budget has already logged for this session.
-    budget_warned: bool,
-    /// The session-local request tallies behind `STATS metrics`.
-    requests: RequestCounters,
+    accounting: Accounting,
 }
 
 impl Session {
     /// Creates an empty session.
     pub fn new(config: SessionConfig) -> Session {
+        let accounting = Accounting::new(config.session_budget, config.slow_ms);
         Session {
             config,
             loaded: None,
-            id: SESSION_IDS.fetch_add(1, Ordering::Relaxed),
-            exec_ns: 0,
-            budget_warned: false,
-            requests: RequestCounters::default(),
+            accounting,
         }
     }
 
-    /// Parses and executes one protocol line.
-    ///
-    /// Request accounting wraps the dispatch: the session-local
-    /// `RequestCounters` count the request *before* it runs (so a `STATS
-    /// metrics` request counts itself), and wall time is recorded into the
-    /// per-verb `server.request.<verb>` histogram afterwards.  Timing is
-    /// observed, never consulted — except under an explicit
-    /// [`SessionBudget`], which is off by default.
+    /// Parses and executes one protocol line: the only entry point that
+    /// accounts a request.  Accounting opens the request (counting it, and
+    /// answering for it when a [`SessionBudget`] rejects it), the verb is
+    /// dispatched, and accounting closes the request with its response.
     pub fn execute(&mut self, line: &str) -> Response {
         let parsed = parse_command(line);
         if matches!(parsed, Ok(Command::Nop)) {
             return Response::none();
         }
-        SERVER_REQUESTS.fetch_add(1, Ordering::Relaxed);
-        self.requests.total += 1;
-        let verb = parsed.as_ref().ok().and_then(verb_index);
-        if let Some(verb) = verb {
-            self.requests.verbs[verb] += 1;
-        }
-        let started = Instant::now();
-        let response = match self.over_budget(&parsed) {
-            Some(rejection) => rejection,
-            None => match parsed {
-                Err(message) => Response::err(message),
-                Ok(Command::Nop) => Response::none(),
-                Ok(Command::Ping) => Response::ok("pong"),
-                Ok(Command::Help) => Response::ok_with(
-                    crate::protocol::HELP_LINES
-                        .iter()
-                        .map(|s| format!("INFO {s}"))
-                        .collect(),
-                    "help",
-                ),
-                Ok(Command::Quit) => Response {
-                    lines: vec!["OK bye".to_owned()],
-                    close: true,
-                },
-                Ok(Command::Load(text)) => self.load(&text),
-                Ok(Command::Assert(text)) => self.assert_text(&text),
-                Ok(Command::Query(text)) => self.query_text(&text),
-                Ok(Command::Models { mode, max }) => self.models(mode, max),
-                Ok(Command::RetractTo(mark)) => self.retract_to(mark),
-                Ok(Command::Stats { scope }) => self.stats(scope),
-                Ok(Command::Metrics) => Self::metrics(),
-            },
+        let (request, rejection) = self.accounting.open(&parsed);
+        let response = match (rejection, parsed) {
+            (Some(rejection), _) => rejection,
+            (None, Err(message)) => Response::err(message),
+            (None, Ok(command)) => self.dispatch(command),
         };
-        let elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.exec_ns = self.exec_ns.saturating_add(elapsed_ns);
-        SERVER_EXEC_NS.fetch_add(elapsed_ns, Ordering::Relaxed);
-        if !response.is_ok() {
-            self.requests.errors += 1;
-            REQ_ERRORS.incr();
-        }
-        let verb = verb.map(|verb| &VERBS[verb]);
-        if let Some(verb) = verb {
-            verb.counter.incr();
-            obs::record_duration(verb.histogram, elapsed_ns);
-        }
-        self.log_slow(verb.map(|verb| verb.label), line, &response, elapsed_ns);
+        self.accounting.close(request, line, &response);
         response
+    }
+
+    fn dispatch(&mut self, command: Command) -> Response {
+        match command {
+            Command::Nop => Response::none(),
+            Command::Ping => Response::ok("pong"),
+            Command::Help => Response::ok_with(
+                crate::protocol::HELP_LINES
+                    .iter()
+                    .map(|s| format!("INFO {s}"))
+                    .collect(),
+                "help",
+            ),
+            Command::Quit => Response {
+                lines: vec!["OK bye".to_owned()],
+                close: true,
+            },
+            Command::Load(text) => self.load(&text),
+            Command::Assert(text) => self.assert_text(&text),
+            Command::Query(text) => self.query_text(&text),
+            Command::Models { mode, max } => self.models(mode, max),
+            Command::RetractTo(mark) => self.retract_to(mark),
+            Command::Stats { scope } => self.stats(scope),
+            Command::Metrics => Self::metrics(),
+        }
     }
 
     /// The `METRICS` verb: the process-wide registry as Prometheus-style
@@ -429,83 +232,6 @@ impl Session {
         let lines = obs::prometheus_lines();
         let count = lines.len();
         Response::ok_with(lines, format!("metrics lines={count}"))
-    }
-
-    /// Applies the optional [`SessionBudget`] to a compute request:
-    /// `Some(ERR …)` when a `Reject` budget is exhausted.  Inspection
-    /// verbs (`STATS`, `METRICS`, `PING`, `HELP`, `QUIT`) always run, so
-    /// an over-budget session stays diagnosable.
-    fn over_budget(&mut self, parsed: &Result<Command, String>) -> Option<Response> {
-        let budget = self.config.session_budget?;
-        let compute = matches!(
-            parsed,
-            Ok(Command::Load(_)
-                | Command::Assert(_)
-                | Command::Query(_)
-                | Command::Models { .. }
-                | Command::RetractTo(_))
-        );
-        if !compute {
-            return None;
-        }
-        let spent_ms = self.exec_ns / 1_000_000;
-        match budget {
-            SessionBudget::Reject(cap_ms) if spent_ms >= cap_ms => {
-                BUDGET_REJECTIONS.incr();
-                obs::log::log_event(
-                    Level::Warn,
-                    "budget_rejected",
-                    &[
-                        ("session", FieldValue::from(self.id)),
-                        ("spent_ms", FieldValue::from(spent_ms)),
-                        ("budget_ms", FieldValue::from(cap_ms)),
-                    ],
-                );
-                Some(Response::err(format!(
-                    "session budget exceeded (spent {spent_ms}ms >= budget {cap_ms}ms)"
-                )))
-            }
-            SessionBudget::Warn(cap_ms) if spent_ms >= cap_ms && !self.budget_warned => {
-                self.budget_warned = true;
-                obs::log::log_event(
-                    Level::Warn,
-                    "budget_exceeded",
-                    &[
-                        ("session", FieldValue::from(self.id)),
-                        ("spent_ms", FieldValue::from(spent_ms)),
-                        ("budget_ms", FieldValue::from(cap_ms)),
-                    ],
-                );
-                None
-            }
-            _ => None,
-        }
-    }
-
-    /// Emits a `slow_request` event when the request's wall time reaches
-    /// the configured `NTGD_SLOW_MS` threshold.
-    fn log_slow(&self, verb: Option<&'static str>, line: &str, response: &Response, ns: u64) {
-        let Some(threshold_ms) = self.config.slow_ms else {
-            return;
-        };
-        let elapsed_ms = ns / 1_000_000;
-        if elapsed_ms < threshold_ms || !obs::log::log_enabled(Level::Warn) {
-            return;
-        }
-        let response_bytes: usize = response.lines.iter().map(String::len).sum();
-        obs::log::log_event(
-            Level::Warn,
-            "slow_request",
-            &[
-                ("verb", FieldValue::from(verb.unwrap_or("invalid"))),
-                ("session", FieldValue::from(self.id)),
-                ("duration_ms", FieldValue::from(elapsed_ms)),
-                ("request_bytes", FieldValue::from(line.len())),
-                ("response_lines", FieldValue::from(response.lines.len())),
-                ("response_bytes", FieldValue::from(response_bytes)),
-                ("ok", FieldValue::from(response.is_ok())),
-            ],
-        );
     }
 
     /// `LOAD`: parse rules (and optional initial facts), compile the rule
@@ -564,13 +290,15 @@ impl Session {
             Some(program) => ProgramClass::of(program),
             None => ProgramClass::of(&disjunctive.positive_conjunctive_part()),
         });
+        let initial_facts: Vec<Atom> = unit.database.facts().cloned().collect();
         let chase = match &normal {
             Some(program) => {
-                match IncrementalChase::new(program, chase_config_for(class.as_ref(), &self.config))
-                {
-                    Ok(chase) => Some(chase),
-                    Err(limit) => return Err(Response::err(limit)),
-                }
+                let config = chase_config_for(class.as_ref(), &self.config);
+                let mut chase = IncrementalChase::new(program, config).map_err(Response::err)?;
+                chase
+                    .assert_facts(initial_facts.iter().cloned())
+                    .map_err(Response::err)?;
+                Some(chase)
             }
             None => None,
         };
@@ -582,37 +310,15 @@ impl Session {
                 GroundingLimits::default(),
             )
         });
-        let mut loaded = Loaded {
+        Ok(Loaded::new(
             disjunctive,
             normal,
             chase,
             sms,
-            facts: Vec::new(),
-            fact_set: HashSet::new(),
-            marks: Vec::new(),
-            generation: 0,
-            models_cache: None,
-            shared: None,
-            base_facts: 0,
+            initial_facts,
             class,
-            class_inherited: false,
-        };
-        let initial_facts: Vec<Atom> = unit.database.facts().cloned().collect();
-        if let Some(chase) = loaded.chase.as_mut() {
-            if let Err(limit) = chase.assert_facts(initial_facts.iter().cloned()) {
-                return Err(Response::err(limit));
-            }
-        }
-        for fact in initial_facts {
-            if loaded.fact_set.insert(fact.clone()) {
-                loaded.facts.push(fact);
-            }
-        }
-        loaded.marks.push(SessionMark {
-            chase: loaded.chase.as_ref().map(IncrementalChase::mark),
-            facts: loaded.facts.len(),
-        });
-        Ok(loaded)
+            None,
+        ))
     }
 
     /// Installs a loaded state and emits the `LOAD` response.  Out-of-
@@ -627,16 +333,9 @@ impl Session {
         self.loaded = Some(loaded);
         let summary = format!("rules={rules} facts={facts} atoms={atoms} mark=0");
         if let Some(class) = class {
-            class_counter(class.verdict).incr();
+            self.accounting
+                .classified(class.verdict, self.config.max_steps);
             if class.verdict == ClassVerdict::OutOfFragment {
-                obs::log::log_event(
-                    Level::Warn,
-                    "class_out_of_fragment",
-                    &[
-                        ("session", FieldValue::from(self.id)),
-                        ("budget", FieldValue::from(self.config.max_steps)),
-                    ],
-                );
                 return Response::ok_with(
                     vec![format!(
                         "WARN class=out-of-fragment budget={}",
@@ -698,28 +397,15 @@ impl Session {
                 None => state,
             }
         });
-        let facts = entry.facts.clone();
-        let fact_set = facts.iter().cloned().collect();
-        let mut loaded = Loaded {
-            disjunctive: Arc::clone(&entry.disjunctive),
-            normal: entry.normal.clone(),
+        Loaded::new(
+            Arc::clone(&entry.disjunctive),
+            entry.normal.clone(),
             chase,
             sms,
-            base_facts: facts.len(),
-            facts,
-            fact_set,
-            marks: Vec::new(),
-            generation: 0,
-            models_cache: None,
-            shared: Some(key),
+            entry.facts.clone(),
             class,
-            class_inherited: true,
-        };
-        loaded.marks.push(SessionMark {
-            chase: loaded.chase.as_ref().map(IncrementalChase::mark),
-            facts: loaded.facts.len(),
-        });
-        loaded
+            Some(key),
+        )
     }
 
     /// `ASSERT`, with the facts already parsed.  Transactional: a step-limit
@@ -750,10 +436,7 @@ impl Session {
                 added += 1;
             }
         }
-        loaded.marks.push(SessionMark {
-            chase: loaded.chase.as_ref().map(IncrementalChase::mark),
-            facts: loaded.facts.len(),
-        });
+        loaded.push_mark();
         loaded.generation += 1;
         let mark = loaded.marks.len() - 1;
         let atoms = loaded.atoms();
@@ -934,17 +617,12 @@ impl Session {
     /// of the request/connection history, so transcripts can assert them
     /// verbatim at any thread count.
     pub fn stats(&self, scope: StatsScope) -> Response {
-        if scope == StatsScope::Base {
-            return self.base_stats();
-        }
-        if scope == StatsScope::Conn {
-            return Response::ok_with(conn_stat_lines(&self.config), "stats");
-        }
-        if scope == StatsScope::Metrics {
-            return Response::ok_with(self.requests.stat_lines(), "stats");
-        }
-        if scope == StatsScope::Classes {
-            return self.class_stats();
+        match scope {
+            StatsScope::Base => return self.base_stats(),
+            StatsScope::Classes => return self.class_stats(),
+            StatsScope::Conn => return Response::ok_with(conn_stat_lines(&self.config), "stats"),
+            StatsScope::Metrics => return Response::ok_with(self.accounting.stat_lines(), "stats"),
+            StatsScope::All | StatsScope::Sms => {}
         }
         let sms_only = scope == StatsScope::Sms;
         let mut lines = Vec::new();
@@ -1048,7 +726,7 @@ impl Session {
             NullBudget::AutoExact => "auto-exact",
             _ => "auto",
         };
-        let source = if loaded.class_inherited {
+        let source = if loaded.shared.is_some() {
             "inherited"
         } else {
             "classified"
@@ -1090,6 +768,49 @@ impl Session {
 }
 
 impl Loaded {
+    /// A state fresh from `LOAD`, over `facts` deduplicated in order, with
+    /// mark 0 taken.  `shared` is the registry key of a forked base: its
+    /// facts are then the base's, and its verdict was inherited.
+    fn new(
+        disjunctive: Arc<DisjunctiveProgram>,
+        normal: Option<Program>,
+        chase: Option<IncrementalChase>,
+        sms: Option<IncrementalSmsState>,
+        facts: Vec<Atom>,
+        class: Option<ProgramClass>,
+        shared: Option<BaseKey>,
+    ) -> Loaded {
+        let mut fact_set = HashSet::with_capacity(facts.len());
+        let facts: Vec<Atom> = facts
+            .into_iter()
+            .filter(|fact| fact_set.insert(fact.clone()))
+            .collect();
+        let mut loaded = Loaded {
+            disjunctive,
+            normal,
+            chase,
+            sms,
+            base_facts: if shared.is_some() { facts.len() } else { 0 },
+            facts,
+            fact_set,
+            marks: Vec::new(),
+            generation: 0,
+            models_cache: None,
+            shared,
+            class,
+        };
+        loaded.push_mark();
+        loaded
+    }
+
+    /// Takes the next epoch mark over the current state.
+    fn push_mark(&mut self) {
+        self.marks.push(SessionMark {
+            chase: self.chase.as_ref().map(IncrementalChase::mark),
+            facts: self.facts.len(),
+        });
+    }
+
     /// Arena size of the chased instance, or the fact count when the
     /// program is disjunctive (no chase).
     fn atoms(&self) -> usize {
@@ -1107,27 +828,18 @@ impl Loaded {
 /// session `conn_transport=embedded` with zeros — so smoke transcripts can
 /// assert the scope verbatim.
 fn conn_stat_lines(config: &SessionConfig) -> Vec<String> {
-    match config.conn_stats.as_ref() {
-        None => vec![
-            "STAT conn_transport=embedded".to_owned(),
-            "STAT conn_accepted=0".to_owned(),
-            "STAT conn_active=0".to_owned(),
-            "STAT conn_peak=0".to_owned(),
-            "STAT conn_rejected=0".to_owned(),
-            "STAT conn_idle_closed=0".to_owned(),
-        ],
-        Some(stats) => {
-            let snapshot = stats.snapshot();
-            vec![
-                format!("STAT conn_transport={}", snapshot.transport),
-                format!("STAT conn_accepted={}", snapshot.accepted),
-                format!("STAT conn_active={}", snapshot.active),
-                format!("STAT conn_peak={}", snapshot.peak),
-                format!("STAT conn_rejected={}", snapshot.rejected),
-                format!("STAT conn_idle_closed={}", snapshot.idle_closed),
-            ]
-        }
-    }
+    let snapshot = match config.conn_stats.as_ref() {
+        Some(stats) => stats.snapshot(),
+        None => ConnStats::new("embedded").snapshot(),
+    };
+    vec![
+        format!("STAT conn_transport={}", snapshot.transport),
+        format!("STAT conn_accepted={}", snapshot.accepted),
+        format!("STAT conn_active={}", snapshot.active),
+        format!("STAT conn_peak={}", snapshot.peak),
+        format!("STAT conn_rejected={}", snapshot.rejected),
+        format!("STAT conn_idle_closed={}", snapshot.idle_closed),
+    ]
 }
 
 /// The incremental-`MODELS` counter lines of `STATS` (deterministic across

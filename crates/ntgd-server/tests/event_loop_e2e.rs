@@ -201,7 +201,7 @@ fn evented_matches_in_memory_sessions_at_256_sessions_across_threads() {
     }
 }
 
-/// `NTGD_MAX_SESSIONS`: connections over the cap get `ERR server at
+/// `--max-sessions`: connections over the cap get `ERR server at
 /// capacity` and a closed socket; once a slot frees, new sessions are
 /// admitted again.
 #[test]
@@ -346,7 +346,7 @@ fn shutdown_closes_the_listener() {
     }
 }
 
-/// `NTGD_IDLE_TIMEOUT`: a client that goes silent is reaped by the evented
+/// `--idle-timeout`: a client that goes silent is reaped by the evented
 /// loop — its socket is closed server-side, `conn_idle_closed` counts it,
 /// and crucially its admission slot is *released*, so a stalled client can
 /// no longer pin the server at capacity forever.  The same holds for a

@@ -185,9 +185,8 @@ fn run_stream(seed: u64, exercised: &mut Exercised) -> Vec<String> {
             .disjunctive_program()
             .expect("generated programs are consistent"),
     );
-    // Pin the path under test explicitly: SessionConfig::default() follows
-    // the ambient NTGD_SMS_INCREMENTAL variable, and this harness must test
-    // the incremental path even when that debugging escape hatch is set.
+    // Pin the path under test explicitly: this harness tests the
+    // incremental path whatever the default is.
     let mut session = Session::new(SessionConfig {
         incremental_models: true,
         ..SessionConfig::default()

@@ -4,7 +4,8 @@
 //! must name the same variables.  A knob added without a row, or a row left
 //! behind by a deleted knob, fails the build.  Every row also carries a kind
 //! (`operator`, `harness`, or `oracle: <test file>`), and an oracle row's
-//! test file must exist.
+//! test file must exist and name the knob.  Every `NTGD_*` variable the CI
+//! workflow sets must have a row, so CI cannot keep setting a deleted knob.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -26,21 +27,27 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The `NTGD_*` names that appear as whole string literals (`"NTGD_…"`).
-fn knob_literals(source: &str) -> Vec<String> {
+/// The `NTGD_*` names in `text` that `opener` immediately precedes and
+/// one of `closers` immediately follows.
+fn knob_names(text: &str, opener: &str, closers: &[char]) -> Vec<String> {
     let mut names = Vec::new();
-    let mut rest = source;
-    while let Some(start) = rest.find("\"NTGD_") {
-        let after = &rest[start + 1..];
+    let mut rest = text;
+    while let Some(start) = rest.find(&format!("{opener}NTGD_")) {
+        let after = &rest[start + opener.len()..];
         let len = after
             .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
             .unwrap_or(after.len());
-        if after[len..].starts_with('"') && len > "NTGD_".len() {
+        if after[len..].starts_with(closers) && len > "NTGD_".len() {
             names.push(after[..len].to_owned());
         }
         rest = &after[len..];
     }
     names
+}
+
+/// The `NTGD_*` names that appear as whole string literals (`"NTGD_…"`).
+fn knob_literals(source: &str) -> Vec<String> {
+    knob_names(source, "\"", &['"'])
 }
 
 /// The knobs the sources read.
@@ -110,9 +117,36 @@ fn every_knob_row_has_a_kind_and_oracles_name_an_existing_test() {
             .and_then(|rest| rest.split_once('`'))
             .map(|(path, _)| path)
             .unwrap_or_else(|| panic!("{name}: unknown kind `{kind}`"));
+        let text = std::fs::read_to_string(repo_root().join(test))
+            .unwrap_or_else(|e| panic!("{name}: oracle test {test} is unreadable: {e}"));
         assert!(
-            repo_root().join(test).is_file(),
-            "{name}: oracle test {test} does not exist"
+            text.contains(&name),
+            "{name}: oracle test {test} never names the knob it is said to exercise"
         );
     }
+}
+
+#[test]
+fn every_knob_the_ci_workflow_sets_is_documented() {
+    let workflow = std::fs::read_to_string(repo_root().join(".github/workflows/ci.yml"))
+        .expect(".github/workflows/ci.yml is readable");
+    // YAML `env:` keys (`NTGD_X: …`) and shell assignments (`NTGD_X=…`).
+    let set: BTreeSet<String> = [" ", "\t"]
+        .iter()
+        .flat_map(|opener| knob_names(&workflow, opener, &[':', '=']))
+        .collect();
+    assert!(!set.is_empty(), "the CI workflow sets some NTGD_* knob");
+    let documented: BTreeSet<String> = documented_knobs()
+        .into_iter()
+        .map(|(name, _)| name)
+        .collect();
+    let read = source_knobs();
+    let stale: Vec<&String> = set
+        .iter()
+        .filter(|name| !documented.contains(*name) || !read.contains(*name))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "the CI workflow sets knobs that are undocumented or that no source reads: {stale:?}"
+    );
 }
