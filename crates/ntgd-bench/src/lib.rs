@@ -1,11 +1,10 @@
 //! # ntgd-bench
 //!
-//! Workload generators and experiment drivers shared by the Criterion
-//! benchmarks (`benches/e*.rs`) and the `experiments` binary, which prints
-//! the row of every experiment E1–E14.
+//! Experiment drivers for the `experiments` binary, which prints the rows
+//! and wall time of every paper experiment E1–E14, and the floor check of
+//! the matcher bench (`benches/matcher.rs`).
 //!
-//! Each `eN_*` function is pure computation over the library crates; the
-//! benchmarks measure their running time, the binary prints their results.
+//! Each `eN_*` function is pure computation over the library crates.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -14,6 +13,15 @@ use ntgd_core::{atom, cst, Atom, Database, Interpretation, Program};
 use ntgd_parser::{parse_database, parse_program, parse_query, parse_unit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Whether a measured `speedup` fails its `floor`.
+///
+/// NaN, infinite and non-positive speedups are measurement failures and
+/// always fail: a NaN compares false against every threshold, so a plain
+/// `speedup < floor` would pass it.
+pub fn below_floor(speedup: f64, floor: f64) -> bool {
+    !(speedup.is_finite() && speedup > 0.0 && speedup >= floor)
+}
 
 /// The program of Example 1 (used throughout the E1/E8 experiments).
 pub fn example1_program() -> Program {
@@ -197,19 +205,6 @@ pub fn e3_classes() -> Vec<E3Row> {
             }
         })
         .collect()
-}
-
-/// A random weakly-acyclic rule set over binary predicates used for the
-/// class-checker scaling benchmark.
-pub fn random_weakly_acyclic_program(rng: &mut StdRng, rules: usize) -> Program {
-    let mut text = String::new();
-    for i in 0..rules {
-        let _ = write!(text, "p{i}(X, Y) -> p{}(Y, Z). ", i + 1);
-        if rng.gen_bool(0.5) {
-            let _ = write!(text, "p{i}(X, Y), not q{i}(X) -> q{}(X). ", i + 1);
-        }
-    }
-    parse_program(&text).expect("random WA program parses")
 }
 
 /// The weakly-acyclic "modest people" program used by E4.
@@ -520,6 +515,31 @@ pub fn e14_chase_variants(n: usize) -> (usize, usize, usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn below_floor_rejects_nan() {
+        assert!(below_floor(f64::NAN, 1.5));
+        assert!(below_floor(f64::NAN, 0.0));
+    }
+
+    #[test]
+    fn below_floor_rejects_infinities() {
+        assert!(below_floor(f64::INFINITY, 1.5));
+        assert!(below_floor(f64::NEG_INFINITY, 1.5));
+    }
+
+    #[test]
+    fn below_floor_rejects_zero_and_negative_speedups() {
+        assert!(below_floor(0.0, 0.0));
+        assert!(below_floor(-2.0, 1.5));
+    }
+
+    #[test]
+    fn below_floor_compares_finite_speedups_with_the_floor() {
+        assert!(below_floor(1.49, 1.5));
+        assert!(!below_floor(1.5, 1.5));
+        assert!(!below_floor(25.0, 10.0));
+    }
 
     #[test]
     fn e1_rows_reproduce_the_papers_separation() {

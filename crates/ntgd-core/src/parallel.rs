@@ -6,9 +6,9 @@
 //! checks of independent candidates — are embarrassingly parallel *within*
 //! one round: every item only **reads** a snapshot of the shared state and
 //! emits into a private buffer.  This module provides the one primitive all
-//! of them share, [`par_map`]: apply a function to every item of a slice and
-//! return the results **in item order**, independently of how the items were
-//! scheduled.
+//! of them share, [`par_map_with`]: apply a function to every item of a slice
+//! on up to a given number of workers and return the results **in item
+//! order**, independently of how the items were scheduled.
 //!
 //! # The persistent pool
 //!
@@ -21,8 +21,8 @@
 //!   plus a result slot per item.  The **submitting thread always works the
 //!   job itself** alongside at most `threads - 1` pool workers, so a job
 //!   completes even if every worker is busy elsewhere — there is no
-//!   possibility of deadlock, and a nested [`par_map`] issued from inside a
-//!   pool worker simply runs inline.
+//!   possibility of deadlock, and a nested [`par_map_with`] issued from
+//!   inside a pool worker simply runs inline.
 //! * Each item index is claimed exactly once (an atomic fetch-add) and its
 //!   result is written into the slot of that index, so the output is in item
 //!   order regardless of the schedule.
@@ -151,8 +151,10 @@ pub fn pool_stats() -> PoolStats {
     }
 }
 
-/// Applies `f` to every item of `items` using up to [`num_threads`] workers
-/// and returns the results in item order.
+/// Applies `f` to every item of `items` using up to `threads` workers and
+/// returns the results in item order.  Callers pass [`threads_for`] of the
+/// round's work, or `1` to force the inline path when a round is too small
+/// to be worth fanning out.
 ///
 /// Work is distributed dynamically (an atomic cursor), so heterogeneous
 /// items balance across workers; each item's result is written into the
@@ -161,17 +163,6 @@ pub fn pool_stats() -> PoolStats {
 /// processed inline with no dispatch.
 ///
 /// Panics in `f` are propagated to the caller once the round has quiesced.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_with(items, num_threads(), f)
-}
-
-/// [`par_map`] with an explicit worker count (callers pass `1` to force the
-/// inline path when a round is too small to be worth fanning out).
 pub fn par_map_with<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -209,9 +200,10 @@ unsafe impl<T: Send> Sync for MutCell<T> {}
 /// buffered and submits the whole batch here, so independent sessions
 /// execute concurrently on the persistent pool while each individual
 /// session stays strictly serial (it is one item, owned by one claimer for
-/// the whole call).  A nested [`par_map`] issued from inside `f` follows the
-/// usual rule: inline on a pool worker, pooled on the submitting thread —
-/// so a batch of one still fans its inner chase/grounding rounds out.
+/// the whole call).  A nested [`par_map_with`] issued from inside `f`
+/// follows the usual rule: inline on a pool worker, pooled on the
+/// submitting thread — so a batch of one still fans its inner
+/// chase/grounding rounds out.
 ///
 /// `threads` follows [`par_map_with`]: pass [`threads_for`]`(items.len())`
 /// (or `1` to force the inline path).
@@ -237,7 +229,7 @@ where
 
 thread_local! {
     /// Whether the current thread is a long-lived pool worker (nested
-    /// `par_map` calls from such a thread run inline, see `par_map_with`).
+    /// `par_map_with` calls from such a thread run inline).
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -283,7 +275,7 @@ struct ResultSlot<R>(UnsafeCell<Option<R>>);
 // index, and only read by the submitter after the round quiesced.
 unsafe impl<R: Send> Sync for ResultSlot<R> {}
 
-/// The borrowed state of one `par_map` round (lives on the submitter's
+/// The borrowed state of one `par_map_with` round (lives on the submitter's
 /// stack; reached from workers through `JobCore::data`).
 struct JobData<'a, T, R, F> {
     items: &'a [T],

@@ -39,11 +39,6 @@ impl Ntgd {
         Ok(rule)
     }
 
-    /// Creates a positive TGD (no negative literals) from body atoms.
-    pub fn tgd(body: Vec<Atom>, head: Vec<Atom>) -> CoreResult<Ntgd> {
-        Ntgd::new(body.into_iter().map(Literal::positive).collect(), head)
-    }
-
     fn validate(&self) -> CoreResult<()> {
         if self.head.is_empty() {
             return Err(CoreError::EmptyHead {

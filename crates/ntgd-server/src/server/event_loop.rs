@@ -17,9 +17,9 @@
 //! [`parallel::par_map_mut`] — each connection pinned to exactly one
 //! executor for the whole batch, so a session is strictly serial while
 //! distinct sessions run in parallel on the pool.  A batch of one runs
-//! inline on the shard thread, where a nested `par_map` from the chase or
-//! grounding fans out to the full pool — lone expensive requests keep their
-//! inner parallelism, concurrent batches trade it for cross-session
+//! inline on the shard thread, where a nested `par_map_with` from the chase
+//! or grounding fans out to the full pool — lone expensive requests keep
+//! their inner parallelism, concurrent batches trade it for cross-session
 //! parallelism.  Batches are capped at [`EXEC_BATCH`] connections per round
 //! so a flood of ready sessions cannot starve socket I/O; the remainder
 //! stays runnable and the next round polls with a zero timeout.

@@ -11,7 +11,6 @@
 //! The functions here make those statements executable; they are used by the
 //! tests of this crate and by experiment E8.
 
-use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 
 use ntgd_core::{Atom, CompiledRuleSet, Database, Interpretation, Program, Substitution};
@@ -21,10 +20,9 @@ use ntgd_core::{Atom, CompiledRuleSet, Database, Interpretation, Program, Substi
 /// `watermark` (`watermark == 0` means all homomorphisms), invoking `emit`
 /// for each derived atom.
 ///
-/// This is the shared rule-evaluation core of
-/// [`immediate_consequence_step`] and [`immediate_consequence_closure`]:
-/// negative literals are evaluated against the oracle `I`, and every head
-/// atom instance belonging to `I⁺` (under some extension of the body
+/// This is one round of [`immediate_consequence_closure`]: negative
+/// literals are evaluated against the oracle `I`, and every head atom
+/// instance belonging to `I⁺` (under some extension of the body
 /// homomorphism over `dom(I)`) is an immediate consequence.  `plans` holds
 /// the cached positive-body and per-head-atom plans of `program` (compiled
 /// once per closure, executed every round); body homomorphisms stay borrowed
@@ -63,20 +61,6 @@ fn derive_consequences<F: FnMut(Atom)>(
                 ControlFlow::Continue(())
             });
     }
-}
-
-/// One application of `T_{Σ,I}` to `S` (returns `T_{Σ,I}(S) ∪ S`).
-pub fn immediate_consequence_step(
-    program: &Program,
-    oracle: &Interpretation,
-    current: &Interpretation,
-) -> BTreeSet<Atom> {
-    let plans = CompiledRuleSet::from_program(program, current);
-    let mut derived: BTreeSet<Atom> = current.sorted_atoms().into_iter().collect();
-    derive_consequences(program, &plans, oracle, current, 0, &mut |atom| {
-        derived.insert(atom);
-    });
-    derived
 }
 
 /// The least fixpoint `T^∞_{Σ,I}(D)`.

@@ -26,11 +26,6 @@ impl EliminationOrder {
         EliminationOrder { order }
     }
 
-    /// The vertex indices in elimination order.
-    pub fn indices(&self) -> &[usize] {
-        &self.order
-    }
-
     /// The eliminated terms in order.
     pub fn terms(&self, graph: &GaifmanGraph) -> Vec<Term> {
         self.order.iter().map(|&i| graph.term_of(i)).collect()

@@ -2,7 +2,7 @@
 //!
 //! Tree decompositions and treewidth of interpretations.
 //!
-//! The paper's sufficient criterion for decidability — the **stable tree model
+//! The paper's sufficient condition for decidability — the **stable tree model
 //! property** (Definition 2, Theorem 2) — asks whether every satisfiable
 //! `SM[D,Σ] ∧ ¬q` has a model of *finite treewidth*.  The treewidth of an
 //! interpretation is defined through tree decompositions of its set of
