@@ -7,8 +7,8 @@
 //! star joins, negation), compiled plans against per-call compilation, slot
 //! views against cloned substitutions, delta matching against a full
 //! rematch and, through `ntgd_server::Session`, recording observability
-//! against disabled observability, incremental against from-scratch MODELS,
-//! and shared-base forks against private loads.
+//! against disabled observability, incremental MODELS against a fresh
+//! `SmsEngine` per request, and shared-base forks against private loads.
 //!
 //! Each row states a floor for its speedup (reference time ÷ optimised
 //! time) next to its code.  The floors sit at about half the lowest ratio
@@ -28,7 +28,11 @@ use std::time::{Duration, Instant};
 
 use ntgd_bench::below_floor;
 use ntgd_core::matcher::{self, reference};
-use ntgd_core::{atom, cst, var, Atom, CompiledConjunction, Interpretation, Literal, Substitution};
+use ntgd_core::{
+    atom, cst, var, Atom, CompiledConjunction, Database, Interpretation, Literal, Substitution,
+};
+use ntgd_parser::parse_unit;
+use ntgd_sms::SmsEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -432,10 +436,11 @@ fn obs_overhead_row() -> Row {
 /// the workload `ntgd_sms::IncrementalSmsState` exists for.  Every constant
 /// is declared up front (`dom` facts), so the candidate domain never changes
 /// and each MODELS after the first advances the cached possibly-true closure
-/// and grounding from the assert delta; the from-scratch reference
-/// (`incremental_models = false`, the differential oracle path) rebuilds
-/// domain, closure and grounding per request.  The two modes must produce
-/// identical MODEL transcripts.
+/// and grounding from the assert delta.  The reference is the from-scratch
+/// computation of `tests/differential_oracle.rs`: after each ASSERT a fresh
+/// `SmsEngine` enumerates the stable models of the session's fact log,
+/// rebuilding domain, closure and grounding, each rendered `MODEL {m}`,
+/// sorted.  The two must produce identical MODEL transcripts.
 fn incremental_models_row() -> Row {
     let mut load = String::from(
         "e(X, Y), e(Y, Z) -> path(X, Z).\
@@ -454,34 +459,42 @@ fn incremental_models_row() -> Row {
             format!("ASSERT e(v{a}, v{b}).")
         })
         .collect();
+    let program = Arc::new(
+        parse_unit(&load)
+            .expect("the row's program parses")
+            .disjunctive_program()
+            .expect("the row's program is consistent"),
+    );
     let run_stream = |incremental: bool| -> Vec<String> {
-        let mut session = ntgd_server::Session::new(ntgd_server::SessionConfig {
-            incremental_models: incremental,
-            ..ntgd_server::SessionConfig::default()
-        });
+        let mut session = ntgd_server::Session::new(ntgd_server::SessionConfig::default());
         assert!(session.execute(&format!("LOAD {load}")).is_ok());
         let mut transcript = Vec::new();
         for batch in &batches {
             assert!(session.execute(batch).is_ok());
-            let models = session.execute("MODELS sms");
-            assert!(models.is_ok());
-            transcript.extend(models.lines);
+            if incremental {
+                let mut models = session.execute("MODELS sms").lines;
+                assert!(models.pop().is_some_and(|ok| ok.starts_with("OK models=")));
+                transcript.extend(models);
+            } else {
+                let database = Database::from_facts(session.facts().iter().cloned())
+                    .expect("session facts are ground");
+                let models = SmsEngine::new_shared(Arc::clone(&program))
+                    .stable_models(&database)
+                    .expect("the oracle enumerates");
+                let mut lines: Vec<String> = models.iter().map(|m| format!("MODEL {m}")).collect();
+                lines.sort();
+                transcript.extend(lines);
+            }
         }
         transcript
     };
     let transcript = run_stream(true);
-    // The terminators coincide too: the incremental state is consulted below
-    // the per-generation render cache, so `cached=true` can only appear for
-    // repeated identical requests, of which the stream has none.
     assert_eq!(
         transcript,
         run_stream(false),
         "incremental MODELS changed the transcript"
     );
-    let model_lines = transcript
-        .iter()
-        .filter(|l| l.starts_with("MODEL "))
-        .count();
+    let model_lines = transcript.len();
     let (incremental, scratch) =
         median_durations(10, || run_stream(true).len(), || run_stream(false).len());
     Row {
@@ -518,16 +531,15 @@ fn shared_base_fork_row() -> Row {
     let deltas: Vec<String> = (0..SESSIONS)
         .map(|s| format!("ASSERT e(w{s}, v{}).", s % 80))
         .collect();
-    // incremental_models off on both sides: the fleets never call MODELS, so
-    // neither should pay for (or skip) grounding state — the comparison
-    // isolates chase sharing.
+    // The fleets never call MODELS, so neither side grounds (a registered
+    // base grounds its MODELS closure on a fork's first `MODELS sms`): the
+    // comparison isolates chase sharing.
     let run_fleet = |forked: bool| -> (Vec<String>, usize) {
         let registry = forked.then(ntgd_server::BaseRegistry::new).map(Arc::new);
         let mut transcript = Vec::new();
         let mut atoms = 0usize;
         for delta in &deltas {
             let mut session = ntgd_server::Session::new(ntgd_server::SessionConfig {
-                incremental_models: false,
                 base_registry: registry.clone(),
                 ..ntgd_server::SessionConfig::default()
             });

@@ -12,7 +12,9 @@
 //! This is the one place a process's configuration is read: the flags
 //! above, plus the two operator settings without a flag,
 //! `NTGD_SESSION_BUDGET` and `NTGD_SLOW_MS` (see `docs/OPERATIONS.md`).
-//! Every process installs one shared-base registry.
+//! Unset or empty, a setting is off; a value that does not parse exits 1
+//! with a message naming the variable.  Every process installs one
+//! shared-base registry.
 //!
 //! In TCP mode the bound address is announced on stdout as
 //! `LISTENING <addr>` (bind to port 0 to let the OS pick), then the process
@@ -30,16 +32,37 @@ fn usage() -> &'static str {
      [--max-sessions N] [--idle-timeout MS]"
 }
 
+/// An operator setting: `None` when unset or empty, an error naming the
+/// variable when its value does not parse.
+fn setting<T>(name: &str, parse: impl Fn(&str) -> Option<T>) -> Result<Option<T>, String> {
+    let value = std::env::var(name).unwrap_or_default();
+    let value = value.trim();
+    if value.is_empty() {
+        return Ok(None);
+    }
+    parse(value)
+        .map(Some)
+        .ok_or_else(|| format!("malformed {name}={value:?}; see docs/OPERATIONS.md"))
+}
+
 fn main() -> ExitCode {
     let mut listen: Option<String> = None;
+    let settings = setting("NTGD_SESSION_BUDGET", SessionBudget::parse)
+        .and_then(|budget| Ok((budget, setting("NTGD_SLOW_MS", |ms| ms.parse().ok())?)));
+    let (session_budget, slow_ms) = match settings {
+        Ok(settings) => settings,
+        Err(message) => {
+            eprintln!("ntgd-serve: {message}");
+            return ExitCode::FAILURE;
+        }
+    };
     // One shared-base registry per process: sessions that LOAD the same
     // program fork one frozen chased base instead of each re-chasing it
     // (see the ntgd_server crate docs).
-    let env = |name| std::env::var(name).unwrap_or_default();
     let mut config = SessionConfig {
         base_registry: Some(Arc::new(BaseRegistry::new())),
-        session_budget: SessionBudget::parse(&env("NTGD_SESSION_BUDGET")),
-        slow_ms: env("NTGD_SLOW_MS").trim().parse().ok(),
+        session_budget,
+        slow_ms,
         ..SessionConfig::default()
     };
     let mut args = std::env::args().skip(1);

@@ -169,10 +169,6 @@
 //! thread count or machine — so scripted transcripts (CI's `server-smoke`)
 //! can assert them verbatim.
 //!
-//! A session constructed with [`SessionConfig::incremental_models`] off
-//! grounds every `MODELS sms` from scratch — the oracle path of the
-//! differential tests — and `STATS` reports `sms_incremental=false`.
-//!
 //! # Shared-base caching contract
 //!
 //! With a [`BaseRegistry`] attached ([`SessionConfig::base_registry`]; the
@@ -189,12 +185,13 @@
 //!   classified session may chase a terminating program unbounded where a
 //!   blind one must stop at the budget, and sharing across that line would
 //!   make `LOAD` outcomes depend on registry arrival order.
-//! * **First `LOAD` (miss).**  The session parses, compiles, chases the
-//!   initial facts to a fixpoint, eagerly grounds the `MODELS sms` closure
-//!   of those facts, then freezes everything — arena, compiled plans,
-//!   witness memo, grounding snapshot — behind `Arc`s and registers the
-//!   entry.  Registration is first-wins under races; losing builds are
-//!   discarded.
+//! * **First `LOAD` (miss).**  The session parses, compiles and chases the
+//!   initial facts to a fixpoint, then freezes everything — arena,
+//!   compiled plans, witness memo — behind `Arc`s and registers the entry.
+//!   Registration is first-wins under races; losing builds are discarded.
+//!   The `MODELS sms` grounding of the initial facts is built once, by the
+//!   first `MODELS sms` of any fork, and frozen into the entry; a program
+//!   that is only queried is never grounded.
 //! * **Every `LOAD` of a registered key (hit — and the registering `LOAD`
 //!   itself).**  The session *forks* the entry in O(1): its arena is a
 //!   mutable overlay over the shared immutable base

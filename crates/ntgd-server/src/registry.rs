@@ -2,11 +2,12 @@
 //! distinct `LOAD` payload, forked copy-on-write into every session that
 //! loads the same program.
 //!
-//! The first `LOAD` of a program parses it, compiles the rule plans, chases
-//! the initial facts to a fixpoint and grounds the `MODELS sms` closure —
-//! then **freezes** all of that behind `Arc`s as a [`BaseEntry`] and
-//! registers it under the program's [`BaseKey`].  Every later `LOAD` of the
-//! same payload (the registering session included — forking is symmetric,
+//! The first `LOAD` of a program parses it, compiles the rule plans and
+//! chases the initial facts to a fixpoint — then **freezes** all of that
+//! behind `Arc`s as a [`BaseEntry`] and registers it under the program's
+//! [`BaseKey`].  The entry grounds the `MODELS sms` closure of its initial
+//! facts once, on the first `MODELS sms` of any fork.  Every later `LOAD` of
+//! the same payload (the registering session included — forking is symmetric,
 //! so first and later sessions produce bit-identical transcripts) *forks*
 //! the entry in O(1): the session shares the chased arena, the compiled
 //! plans and the frozen grounding, and chases only its private fact delta
@@ -32,7 +33,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use ntgd_chase::ChaseBase;
 use ntgd_classes::{ClassReport, ClassVerdict};
@@ -119,9 +120,9 @@ pub struct BaseEntry {
     /// The frozen chase: arena at fixpoint, plans, witness memo (normal
     /// programs only).
     pub(crate) chase: Option<Arc<ChaseBase>>,
-    /// The frozen `MODELS sms` grounding of the initial facts, when the
-    /// grounding succeeded and incremental `MODELS` is enabled.
-    pub(crate) sms: Option<Arc<SmsBaseSnapshot>>,
+    /// The frozen `MODELS sms` grounding of the initial facts, built by the
+    /// first fork that asks for it (`None` inside when grounding failed).
+    pub(crate) sms: OnceLock<Option<Arc<SmsBaseSnapshot>>>,
     /// The deduplicated initial facts, in assertion order.
     pub(crate) facts: Vec<Atom>,
     /// The program's classification, computed once by the registering
@@ -140,7 +141,6 @@ impl BaseEntry {
         disjunctive: Arc<DisjunctiveProgram>,
         normal: Option<Program>,
         chase: Option<Arc<ChaseBase>>,
-        sms: Option<Arc<SmsBaseSnapshot>>,
         facts: Vec<Atom>,
         class: Option<ProgramClass>,
     ) -> BaseEntry {
@@ -148,7 +148,7 @@ impl BaseEntry {
             disjunctive,
             normal,
             chase,
-            sms,
+            sms: OnceLock::new(),
             facts,
             class,
             hits: AtomicU64::new(0),
@@ -211,12 +211,6 @@ impl BaseRegistry {
         winner
     }
 
-    /// The counters of a key's entry, if registered.
-    pub fn stats(&self, key: &BaseKey) -> Option<BaseStats> {
-        let entries = self.entries.lock().expect("base registry poisoned");
-        entries.get(key).map(|entry| entry.stats())
-    }
-
     /// Number of registered bases.
     pub fn len(&self) -> usize {
         self.entries.lock().expect("base registry poisoned").len()
@@ -243,7 +237,6 @@ mod tests {
     fn empty_entry() -> Arc<BaseEntry> {
         Arc::new(BaseEntry::new(
             Arc::new(DisjunctiveProgram::default()),
-            None,
             None,
             None,
             Vec::new(),
@@ -286,9 +279,8 @@ mod tests {
         let found = registry.lookup(&key).expect("registered");
         assert!(Arc::ptr_eq(&first, &found));
         found.record_fork();
-        let stats = registry.stats(&key).expect("registered");
         assert_eq!(
-            stats,
+            first.stats(),
             BaseStats {
                 hits: 1,
                 misses: 2,

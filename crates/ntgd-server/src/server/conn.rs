@@ -20,7 +20,9 @@
 //! bytes are pending; execution pauses at the same output mark, so a client
 //! that pipelines without reading stalls in its own send buffer.  A line
 //! still unterminated after [`MAX_LINE`] bytes is answered `ERR line too
-//! long` and the connection is closed.
+//! long` and the connection is closed.  A buffer that drains empty gives
+//! back any capacity over `BUFFER_CAP`, so an idle connection holds at most
+//! `BUFFER_CAP` per direction whatever its largest request or response.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -111,6 +113,7 @@ impl LineBuffer {
         self.start = end + 1;
         if self.start == self.buf.len() {
             self.buf.clear();
+            self.buf.shrink_to(BUFFER_CAP);
             self.start = 0;
         } else if self.start >= COMPACT_AT {
             self.buf.drain(..self.start);
@@ -312,6 +315,7 @@ impl Conn {
         }
         if self.write_pos >= self.write_buf.len() {
             self.write_buf.clear();
+            self.write_buf.shrink_to(BUFFER_CAP);
             self.write_pos = 0;
         }
     }
@@ -496,6 +500,43 @@ mod tests {
         let mut reply = String::new();
         client.read_to_string(&mut reply).unwrap();
         assert_eq!(reply, format!("{BANNER}\nERR line too long\n"));
+    }
+
+    #[test]
+    fn a_drained_long_line_gives_its_capacity_back() {
+        let mut buffer = LineBuffer::new();
+        buffer.push_bytes(&vec![b'x'; 1 << 20]);
+        buffer.push_bytes(b"\n");
+        assert_eq!(buffer.next_line().unwrap().unwrap().len(), 1 << 20);
+        assert_eq!(buffer.pending(), 0);
+        assert!(
+            buffer.buf.capacity() <= BUFFER_CAP,
+            "{}",
+            buffer.buf.capacity()
+        );
+    }
+
+    #[test]
+    fn a_flushed_long_response_gives_its_capacity_back() {
+        let (mut client, mut conn) = conn_pair();
+        let response = "x".repeat(1 << 20);
+        conn.queue_line(&response);
+        let reader = std::thread::spawn(move || {
+            let mut received = vec![0u8; response.len() + 1];
+            client.read_exact(&mut received).unwrap();
+            received
+        });
+        while conn.wants_write() {
+            conn.flush();
+            assert!(!conn.dead);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(reader.join().unwrap().len(), (1 << 20) + 1);
+        assert!(
+            conn.write_buf.capacity() <= BUFFER_CAP,
+            "{}",
+            conn.write_buf.capacity()
+        );
     }
 
     #[test]

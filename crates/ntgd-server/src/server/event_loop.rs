@@ -10,8 +10,10 @@
 //! of a few **shard** threads through a mutex-protected inbox, waking the
 //! shard via a loopback [`Waker`] socket registered in its poller.
 //!
-//! Each shard runs a readiness loop ([`Poller`]: `epoll` on Linux, portable
-//! scan fallback): readable sockets are drained into their connection's
+//! Each shard runs a readiness loop over its own `epoll` [`Poller`], made
+//! (waker registered) before any thread starts, so a host that cannot poll
+//! fails `serve` rather than run a shard that never answers.  Readable
+//! sockets are drained into their connection's
 //! line buffer, then every *runnable* connection (a complete request
 //! buffered, or EOF to finalise) is executed as one **bounded batch** via
 //! [`parallel::par_map_mut`] — each connection pinned to exactly one
@@ -81,7 +83,8 @@ fn waker_pair() -> io::Result<(Waker, TcpStream)> {
 
 /// Spawns the acceptor and the shard threads; returns their handles plus
 /// the wakers the [`ServeHandle`](crate::server::ServeHandle) uses for
-/// shutdown.
+/// shutdown.  Every shard's poller is created, its waker registered,
+/// before the first thread starts, so a poller error fails the call.
 #[allow(clippy::type_complexity)]
 pub(super) fn spawn(
     listener: TcpListener,
@@ -97,12 +100,18 @@ pub(super) fn spawn(
     // reasoning pool for cores (execution parallelism comes from the pool,
     // not from shard count).
     let shards = parallel::num_threads().clamp(1, 4);
+    let mut pollers = Vec::with_capacity(shards);
+    for _ in 0..shards {
+        let (waker, rx) = waker_pair()?;
+        let mut poller = Poller::new()?;
+        poller.register(&rx, WAKER_TOKEN, (true, false))?;
+        pollers.push((waker, rx, poller));
+    }
     let mut inboxes: Vec<Arc<Mutex<Vec<Conn>>>> = Vec::with_capacity(shards);
     let mut wakers: Vec<Waker> = Vec::with_capacity(shards);
     let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(shards);
     let idle_timeout = config.idle_timeout;
-    for index in 0..shards {
-        let (waker, rx) = waker_pair()?;
+    for (index, (waker, rx, poller)) in pollers.into_iter().enumerate() {
         let inbox = Arc::new(Mutex::new(Vec::new()));
         let worker = std::thread::Builder::new()
             .name(format!("ntgd-poll-{index}"))
@@ -110,7 +119,7 @@ pub(super) fn spawn(
                 let inbox = inbox.clone();
                 let shutdown = shutdown.clone();
                 let stats = stats.clone();
-                move || shard_loop(rx, &inbox, &shutdown, &stats, idle_timeout)
+                move || shard_loop(poller, rx, &inbox, &shutdown, &stats, idle_timeout)
             })?;
         inboxes.push(inbox);
         wakers.push(waker);
@@ -192,26 +201,13 @@ static IDLE_CLOSED: obs::Counter = obs::Counter::new("server.idle_closed");
 /// accepting bytes, so it is making progress, not abandoned; a client that
 /// stopped reading with output parked at the cap is reaped.
 fn shard_loop(
+    mut poller: Poller,
     waker_rx: TcpStream,
     inbox: &Mutex<Vec<Conn>>,
     shutdown: &AtomicBool,
     stats: &ConnStats,
     idle_timeout: Option<Duration>,
 ) {
-    let mut poller = match Poller::new() {
-        Ok(poller) => poller,
-        Err(err) => {
-            eprintln!("ntgd-serve: poller init failed: {err}");
-            return;
-        }
-    };
-    if poller
-        .register(&waker_rx, WAKER_TOKEN, (true, false))
-        .is_err()
-    {
-        eprintln!("ntgd-serve: waker registration failed");
-        return;
-    }
     // Token-addressed slab: a connection's poller token is its slot index.
     let mut slots: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
@@ -321,7 +317,7 @@ fn shard_loop(
             if conn.finished() || idle {
                 let finished = conn.finished();
                 let conn = slot.take().expect("slot occupied");
-                let _ = poller.deregister(conn.stream(), token);
+                let _ = poller.deregister(conn.stream());
                 let _ = conn.stream().shutdown(Shutdown::Both);
                 if finished {
                     stats.disconnected();

@@ -14,7 +14,8 @@ use ntgd_core::{obs, parallel, Atom, Database, DisjunctiveProgram, Program, Quer
 use ntgd_lp::{LpEngine, LpLimits};
 use ntgd_parser::{parse_database, parse_query, parse_unit};
 use ntgd_sms::{
-    AtomSet, GroundSmsProgram, GroundingLimits, IncrementalSmsState, NullBudget, SmsEngine,
+    AtomSet, GroundSmsProgram, GroundingLimits, IncrementalSmsState, NullBudget, SmsBaseSnapshot,
+    SmsEngine,
 };
 
 use crate::accounting::{server_requests, Accounting, SessionBudget};
@@ -33,11 +34,6 @@ pub struct SessionConfig {
     pub max_steps: usize,
     /// Default cap on the number of models returned by `MODELS`.
     pub max_models: usize,
-    /// Whether `MODELS sms` reuses the session's incremental grounding state
-    /// ([`ntgd_sms::IncrementalSmsState`]).  On by default.  Off, every
-    /// request grounds from scratch: the oracle path the differential tests
-    /// compare against.
-    pub incremental_models: bool,
     /// The process-wide shared-base registry, if base sharing is on: the
     /// first `LOAD` of a program chases and freezes its base there, and
     /// every later `LOAD` of the same payload forks it copy-on-write
@@ -87,7 +83,6 @@ impl Default for SessionConfig {
         SessionConfig {
             max_steps: 100_000,
             max_models: 64,
-            incremental_models: true,
             base_registry: None,
             max_sessions: None,
             conn_stats: None,
@@ -117,8 +112,8 @@ struct Loaded {
     /// The resumable chase (normal programs; chases the positive part).
     chase: Option<IncrementalChase>,
     /// The reusable `MODELS sms` grounding state (closure + grounding kept
-    /// across asserts/retracts); `None` when the session runs from scratch.
-    sms: Option<IncrementalSmsState>,
+    /// across asserts/retracts).
+    sms: IncrementalSmsState,
     /// Asserted facts in assertion order, deduplicated.
     facts: Vec<Atom>,
     /// Dedup mirror of `facts` (rebuilt on retract).
@@ -129,8 +124,8 @@ struct Loaded {
     generation: u64,
     /// Session-scoped `MODELS` cache for the current generation.
     models_cache: Option<(u64, ModelsMode, usize, Vec<String>)>,
-    /// The registry key this state was forked from, when it shares a base.
-    shared: Option<BaseKey>,
+    /// The registry entry this state was forked from, when it shares a base.
+    shared: Option<Arc<BaseEntry>>,
     /// Facts covered by the shared base (0 when built privately); the
     /// `STATS base` overlay count for chase-less (disjunctive) sessions.
     base_facts: usize,
@@ -256,7 +251,7 @@ impl Session {
                     registry.register(key.clone(), Arc::new(Self::freeze_loaded(built)))
                 }
             };
-            let forked = Self::fork_loaded(&entry, &self.config, key);
+            let forked = Self::fork_loaded(&entry, &self.config);
             return self.install(forked);
         }
         match self.build_loaded(text) {
@@ -303,13 +298,11 @@ impl Session {
             None => None,
         };
         let disjunctive = Arc::new(disjunctive);
-        let sms = self.config.incremental_models.then(|| {
-            IncrementalSmsState::new(
-                Arc::clone(&disjunctive),
-                null_budget_for(class.as_ref()),
-                GroundingLimits::default(),
-            )
-        });
+        let sms = IncrementalSmsState::new(
+            Arc::clone(&disjunctive),
+            null_budget_for(class.as_ref()),
+            GroundingLimits::default(),
+        );
         Ok(Loaded::new(
             disjunctive,
             normal,
@@ -349,35 +342,27 @@ impl Session {
     }
 
     /// Freezes a freshly built private state into a registrable
-    /// [`BaseEntry`]: the chase moves behind an `Arc` (no arena copy), and
-    /// the `MODELS sms` grounding of the initial facts is built eagerly so
-    /// every fork — whenever it arrives — sees the same snapshot and the
-    /// same deterministic counters.  A grounding failure (limits) leaves the
-    /// snapshot out; forks then ground privately and report the error on
-    /// their first `MODELS`, exactly like a private session.
+    /// [`BaseEntry`]: the chase moves behind an `Arc` (no arena copy).  The
+    /// `MODELS sms` grounding of the initial facts is left to the first
+    /// fork that asks for it ([`base_snapshot`]).
     fn freeze_loaded(loaded: Loaded) -> BaseEntry {
         let Loaded {
             disjunctive,
             normal,
             chase,
-            sms,
             facts,
             class,
             ..
         } = loaded;
         let chase = chase.map(IncrementalChase::freeze);
-        let sms = sms.and_then(|mut state| match state.ensure_current(&facts) {
-            Ok(_) => state.freeze(&facts),
-            Err(_) => None,
-        });
-        BaseEntry::new(disjunctive, normal, chase, sms, facts, class)
+        BaseEntry::new(disjunctive, normal, chase, facts, class)
     }
 
     /// Forks a registered base into a fresh session state in O(1): the
     /// chase shares the frozen arena and chases only this session's fact
     /// delta on an overlay; `MODELS sms` answers over the base prefix
     /// zero-copy and adopts the snapshot on the first extension.
-    fn fork_loaded(entry: &Arc<BaseEntry>, config: &SessionConfig, key: BaseKey) -> Loaded {
+    fn fork_loaded(entry: &Arc<BaseEntry>, config: &SessionConfig) -> Loaded {
         entry.record_fork();
         // The verdict is inherited from the registered base — never
         // recomputed — so a thousand forks of one program classify once.
@@ -386,17 +371,11 @@ impl Session {
             .chase
             .as_ref()
             .map(|base| IncrementalChase::fork(base, chase_config_for(class.as_ref(), config)));
-        let sms = config.incremental_models.then(|| {
-            let state = IncrementalSmsState::new(
-                Arc::clone(&entry.disjunctive),
-                null_budget_for(class.as_ref()),
-                GroundingLimits::default(),
-            );
-            match entry.sms.as_ref() {
-                Some(snapshot) => state.with_base(Arc::clone(snapshot)),
-                None => state,
-            }
-        });
+        let sms = IncrementalSmsState::new(
+            Arc::clone(&entry.disjunctive),
+            null_budget_for(class.as_ref()),
+            GroundingLimits::default(),
+        );
         Loaded::new(
             Arc::clone(&entry.disjunctive),
             entry.normal.clone(),
@@ -404,7 +383,7 @@ impl Session {
             sms,
             entry.facts.clone(),
             class,
-            Some(key),
+            Some(Arc::clone(entry)),
         )
     }
 
@@ -495,13 +474,12 @@ impl Session {
     /// cached per (generation, mode, cap) so repeated calls on an unchanged
     /// session are free.
     ///
-    /// In `sms` mode the session consults its [`IncrementalSmsState`] (when
-    /// [`SessionConfig::incremental_models`] is on): the possibly-true
-    /// closure and grounding are advanced from the fact delta instead of
-    /// being rebuilt, and only the CEGAR model search runs per request.  The
-    /// cached state is exact — whenever `max` does not truncate the
-    /// enumeration, answers are bit-identical to the from-scratch path;
-    /// capped listings are samples of the stable-model set on either path
+    /// In `sms` mode the session consults its [`IncrementalSmsState`]: the
+    /// possibly-true closure and grounding are advanced from the fact delta
+    /// instead of being rebuilt, and only the CEGAR model search runs per
+    /// request.  The cached state is exact — whenever `max` does not
+    /// truncate the enumeration, answers are bit-identical to a from-scratch
+    /// [`SmsEngine`]; capped listings are samples of the stable-model set
     /// (see the crate documentation's *MODELS caching contract*).
     pub fn models(&mut self, mode: ModelsMode, max: Option<usize>) -> Response {
         let max_models = max.unwrap_or(self.config.max_models);
@@ -524,26 +502,16 @@ impl Session {
                     disjunctive,
                     facts,
                     sms,
+                    shared,
                     ..
                 } = loaded;
+                if let Some(snapshot) = shared.as_deref().and_then(base_snapshot) {
+                    sms.set_base(snapshot);
+                }
                 let engine = SmsEngine::new_shared(Arc::clone(disjunctive));
-                let scratch;
-                let ground = match sms.as_mut() {
-                    Some(state) => match state.ensure_current(facts) {
-                        Ok(ground) => ground,
-                        Err(error) => return Response::err(error),
-                    },
-                    None => {
-                        let database = match Database::from_facts(facts.iter().cloned()) {
-                            Ok(database) => database,
-                            Err(error) => return Response::err(error),
-                        };
-                        scratch = match engine.ground(&database, None) {
-                            Ok(ground) => ground,
-                            Err(error) => return Response::err(error),
-                        };
-                        &scratch
-                    }
+                let ground = match sms.ensure_current(facts) {
+                    Ok(ground) => ground,
+                    Err(error) => return Response::err(error),
                 };
                 match engine.stable_model_ids_over(ground, max_models) {
                     Ok(models) => render_models(models.iter().map(|m| model_line(ground, m))),
@@ -597,9 +565,7 @@ impl Session {
         // The cached MODELS grounding truncates to its newest snapshot at or
         // below the target — O(retracted), like the arena; a later MODELS
         // then advances from that snapshot instead of re-grounding.
-        if let Some(state) = loaded.sms.as_mut() {
-            state.retract_to_facts(target.facts);
-        }
+        loaded.sms.retract_to_facts(target.facts);
         // `facts` is deduplicated, so dropping exactly the truncated slice
         // from the mirror keeps rollback O(retracted), matching the arena.
         for fact in &loaded.facts[target.facts..] {
@@ -677,15 +643,12 @@ impl Session {
                 };
                 lines.push(format!("STAT base_atoms={base_atoms}"));
                 lines.push(format!("STAT base_overlay_atoms={overlay_atoms}"));
-                if let (Some(key), Some(registry)) =
-                    (loaded.shared.as_ref(), self.config.base_registry.as_ref())
-                {
-                    if let Some(stats) = registry.stats(key) {
-                        lines.push(format!("STAT base_registry_hits={}", stats.hits));
-                        lines.push(format!("STAT base_registry_misses={}", stats.misses));
-                        lines.push(format!("STAT base_rebuilds={}", stats.rebuilds));
-                        lines.push(format!("STAT base_forks={}", stats.forks));
-                    }
+                if let Some(entry) = loaded.shared.as_ref() {
+                    let stats = entry.stats();
+                    lines.push(format!("STAT base_registry_hits={}", stats.hits));
+                    lines.push(format!("STAT base_registry_misses={}", stats.misses));
+                    lines.push(format!("STAT base_rebuilds={}", stats.rebuilds));
+                    lines.push(format!("STAT base_forks={}", stats.forks));
                 }
             }
         }
@@ -769,16 +732,16 @@ impl Session {
 
 impl Loaded {
     /// A state fresh from `LOAD`, over `facts` deduplicated in order, with
-    /// mark 0 taken.  `shared` is the registry key of a forked base: its
+    /// mark 0 taken.  `shared` is the registry entry of a forked base: its
     /// facts are then the base's, and its verdict was inherited.
     fn new(
         disjunctive: Arc<DisjunctiveProgram>,
         normal: Option<Program>,
         chase: Option<IncrementalChase>,
-        sms: Option<IncrementalSmsState>,
+        sms: IncrementalSmsState,
         facts: Vec<Atom>,
         class: Option<ProgramClass>,
-        shared: Option<BaseKey>,
+        shared: Option<Arc<BaseEntry>>,
     ) -> Loaded {
         let mut fact_set = HashSet::with_capacity(facts.len());
         let facts: Vec<Atom> = facts
@@ -843,24 +806,39 @@ fn conn_stat_lines(config: &SessionConfig) -> Vec<String> {
 }
 
 /// The incremental-`MODELS` counter lines of `STATS` (deterministic across
-/// thread counts; see the crate docs).
+/// thread counts; see the crate docs).  `sms_incremental` is always `true`:
+/// every session keeps its grounding state.
 fn sms_stat_lines(loaded: &Loaded) -> Vec<String> {
-    match loaded.sms.as_ref() {
-        None => vec!["STAT sms_incremental=false".to_owned()],
-        Some(state) => {
-            let stats = state.stats();
-            vec![
-                "STAT sms_incremental=true".to_owned(),
-                format!("STAT sms_rebuilds={}", stats.rebuilds),
-                format!("STAT sms_reuses={}", stats.reuses),
-                format!("STAT sms_hits={}", stats.hits),
-                format!("STAT sms_rollbacks={}", stats.rollbacks),
-                format!("STAT sms_invalidations={}", stats.invalidations),
-                format!("STAT sms_closure_atoms={}", state.closure_atoms()),
-                format!("STAT sms_ground_rules={}", state.ground_rules()),
-            ]
-        }
-    }
+    let stats = loaded.sms.stats();
+    vec![
+        "STAT sms_incremental=true".to_owned(),
+        format!("STAT sms_rebuilds={}", stats.rebuilds),
+        format!("STAT sms_reuses={}", stats.reuses),
+        format!("STAT sms_hits={}", stats.hits),
+        format!("STAT sms_rollbacks={}", stats.rollbacks),
+        format!("STAT sms_invalidations={}", stats.invalidations),
+        format!("STAT sms_closure_atoms={}", loaded.sms.closure_atoms()),
+        format!("STAT sms_ground_rules={}", loaded.sms.ground_rules()),
+    ]
+}
+
+/// The frozen `MODELS sms` grounding of a registered base's initial facts,
+/// built once, by the first fork whose `MODELS sms` asks for it, and shared
+/// by every fork after.  A fork attaches it before its own state grounds
+/// anything, so its counters are the same whichever fork built it.
+/// `None` when grounding fails (limits): forks then ground privately and
+/// report the error, exactly like a private session.
+fn base_snapshot(entry: &BaseEntry) -> Option<Arc<SmsBaseSnapshot>> {
+    let build = || {
+        let mut state = IncrementalSmsState::new(
+            Arc::clone(&entry.disjunctive),
+            null_budget_for(entry.class.as_ref()),
+            GroundingLimits::default(),
+        );
+        state.ensure_current(&entry.facts).ok()?;
+        state.freeze(&entry.facts)
+    };
+    entry.sms.get_or_init(build).clone()
 }
 
 /// Sorts rendered `MODEL` lines, one per model.  Within a line the atoms are
@@ -990,16 +968,10 @@ mod tests {
             expected.iter().any(|line| line.contains("_n")),
             "{expected:?}"
         );
-        for incremental_models in [true, false] {
-            let mut session = Session::new(SessionConfig {
-                incremental_models,
-                ..SessionConfig::default()
-            });
-            session.execute(&format!("LOAD {text}"));
-            let response = session.execute("MODELS sms");
-            let lines = &response.lines[..response.lines.len() - 1];
-            assert_eq!(lines, expected, "incremental={incremental_models}");
-        }
+        let mut session = Session::new(SessionConfig::default());
+        session.execute(&format!("LOAD {text}"));
+        let response = session.execute("MODELS sms");
+        assert_eq!(&response.lines[..response.lines.len() - 1], expected);
     }
 
     #[test]
@@ -1078,10 +1050,7 @@ mod tests {
         // The typed API must behave like the protocol: reject non-ground or
         // null-carrying facts with ERR and keep the session usable — in
         // particular the incremental MODELS state must never see them.
-        let mut session = Session::new(SessionConfig {
-            incremental_models: true,
-            ..SessionConfig::default()
-        });
+        let mut session = Session::new(SessionConfig::default());
         session.execute("LOAD node(X) -> red(X) | green(X).");
         let with_var = session.assert_facts(vec![atom("node", vec![var("X")])]);
         assert!(!with_var.is_ok());
@@ -1186,6 +1155,34 @@ mod tests {
         assert!(fresh
             .lines
             .contains(&"STAT base_registry_hits=0".to_owned()));
+    }
+
+    #[test]
+    fn a_registered_base_grounds_once_on_the_first_models_sms() {
+        let registry = Arc::new(BaseRegistry::new());
+        let config = SessionConfig {
+            base_registry: Some(registry),
+            ..SessionConfig::default()
+        };
+        let program = "LOAD p(X), not q(X) -> r(X). p(a).";
+        let mut first = Session::new(config.clone());
+        let mut second = Session::new(config);
+        assert!(first.execute(program).is_ok());
+        assert!(second.execute(program).is_ok());
+        let entry = first.loaded.as_ref().and_then(|l| l.shared.clone());
+        let entry = entry.expect("the LOAD forked the registered base");
+        assert!(entry.sms.get().is_none(), "LOAD grounds nothing");
+        assert!(first.execute("MODELS lp").is_ok());
+        assert!(entry.sms.get().is_none(), "MODELS lp grounds nothing");
+        assert!(second.execute("MODELS sms").is_ok());
+        assert!(entry.sms.get().is_some_and(Option::is_some));
+        // The fork that built the snapshot and the one that found it built
+        // count the same: one zero-copy hit, no rebuild.
+        assert!(first.execute("MODELS sms").is_ok());
+        let stats = first.execute("STATS sms").lines;
+        assert_eq!(stats, second.execute("STATS sms").lines);
+        assert!(stats.contains(&"STAT sms_rebuilds=0".to_owned()));
+        assert!(stats.contains(&"STAT sms_hits=1".to_owned()));
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! the same script pumped through `handle_session` over in-memory buffers
 //! (the REPL path): the transport must be invisible to clients.  It also
 //! bounds the p99 request latency of that fleet at 5 s, a liveness check:
-//! no session may starve.  CI runs this file under both pollers (`epoll`
-//! and `NTGD_POLLER=scan`).
+//! no session may starve.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};

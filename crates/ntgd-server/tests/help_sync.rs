@@ -88,10 +88,7 @@ fn documented_stats_tables() -> Vec<(String, Vec<String>)> {
 /// The keys plain `STATS` emits once a normal program is loaded and its
 /// stable models have been enumerated (so the chase and `sms` lines show).
 fn emitted_stats_keys() -> BTreeSet<String> {
-    let mut session = Session::new(SessionConfig {
-        incremental_models: true,
-        ..SessionConfig::default()
-    });
+    let mut session = Session::new(SessionConfig::default());
     assert!(session.execute("LOAD e(X, Y) -> n(X). e(a, b).").is_ok());
     assert!(session.execute("MODELS").is_ok());
     let response = session.execute("STATS");

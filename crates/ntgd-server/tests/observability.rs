@@ -2,7 +2,8 @@
 //! byte-stability of the deterministic `STATS metrics` scope across the
 //! full parallelism matrix, the `STATS classes` verdict of every generated
 //! program family, the process-wide `server_requests` counter, the
-//! `NTGD_SESSION_BUDGET` admission cap, and
+//! `NTGD_SESSION_BUDGET` admission cap, the start-up refusal of malformed
+//! operator settings, and
 //! the `NTGD_SLOW_MS` slow-request log driven end to end over real TCP
 //! against the actual `ntgd-serve` binary (environment-configured logging
 //! is latched at process start, so it needs a subprocess to test).
@@ -269,6 +270,37 @@ fn budget_values_parse_like_the_environment_variable() {
     );
     assert_eq!(SessionBudget::parse("fast"), None);
     assert_eq!(SessionBudget::parse(""), None);
+}
+
+#[test]
+fn malformed_operator_settings_stop_the_server_at_start_up() {
+    // The REPL on empty stdin ends at once, so the exit status is the
+    // settings check alone: a value that does not parse exits 1 and names
+    // its variable; an empty value is off, like an unset one.
+    let run = |name: &str, value: &str| {
+        Command::new(env!("CARGO_BIN_EXE_ntgd-serve"))
+            .arg("--repl")
+            .env_remove("NTGD_SLOW_MS")
+            .env_remove("NTGD_SESSION_BUDGET")
+            .env(name, value)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run ntgd-serve")
+    };
+    for (name, value) in [
+        ("NTGD_SLOW_MS", "abc"),
+        ("NTGD_SLOW_MS", "-5"),
+        ("NTGD_SESSION_BUDGET", "warn:x"),
+        ("NTGD_SESSION_BUDGET", "-5"),
+    ] {
+        let output = run(name, value);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{name}={value}: {stderr}");
+        assert!(stderr.contains(name), "{name}={value}: {stderr}");
+    }
+    for name in ["NTGD_SLOW_MS", "NTGD_SESSION_BUDGET"] {
+        assert!(run(name, "").status.success(), "{name} empty");
+    }
 }
 
 #[test]

@@ -129,7 +129,7 @@ struct SmsSnapshot {
 /// atoms), and the dedup set — everything a forked session needs to answer
 /// `MODELS` without re-grounding the base.  Produced by
 /// [`IncrementalSmsState::freeze`], consumed by
-/// [`IncrementalSmsState::with_base`].
+/// [`IncrementalSmsState::set_base`].
 pub struct SmsBaseSnapshot {
     /// Rule plans compiled when the snapshot was built.
     plans: Arc<CompiledDisjunctiveRuleSet>,
@@ -234,9 +234,8 @@ impl IncrementalSmsState {
     /// Attaches a shared frozen base snapshot (see [`SmsBaseSnapshot`]):
     /// requests over the snapshot's fact prefix (or an extension of it) are
     /// answered from the snapshot instead of rebuilding.
-    pub fn with_base(mut self, base: Arc<SmsBaseSnapshot>) -> IncrementalSmsState {
+    pub fn set_base(&mut self, base: Arc<SmsBaseSnapshot>) {
         self.base = Some(base);
-        self
     }
 
     /// Freezes this state's live grounding into a shareable
@@ -794,8 +793,8 @@ mod tests {
             Arc::clone(&program),
             NullBudget::Auto,
             GroundingLimits::default(),
-        )
-        .with_base(Arc::clone(&snapshot));
+        );
+        fork.set_base(Arc::clone(&snapshot));
         assert_eq!(
             models_incremental(&program, &mut fork, &base_facts),
             expected
@@ -819,8 +818,8 @@ mod tests {
             Arc::clone(&program),
             NullBudget::Auto,
             GroundingLimits::default(),
-        )
-        .with_base(Arc::clone(&snapshot));
+        );
+        fork.set_base(Arc::clone(&snapshot));
         let mut live = base_facts.clone();
         live.extend(facts("e(a, b). e(b, c)."));
         assert_eq!(
@@ -851,8 +850,8 @@ mod tests {
             Arc::clone(&program),
             NullBudget::Auto,
             GroundingLimits::default(),
-        )
-        .with_base(snapshot);
+        );
+        fork.set_base(snapshot);
         // The session retracted below the fork watermark and regrew with a
         // different fact: the snapshot no longer applies and the state must
         // rebuild, not adopt.

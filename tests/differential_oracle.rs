@@ -185,12 +185,7 @@ fn run_stream(seed: u64, exercised: &mut Exercised) -> Vec<String> {
             .disjunctive_program()
             .expect("generated programs are consistent"),
     );
-    // Pin the path under test explicitly: this harness tests the
-    // incremental path whatever the default is.
-    let mut session = Session::new(SessionConfig {
-        incremental_models: true,
-        ..SessionConfig::default()
-    });
+    let mut session = Session::new(SessionConfig::default());
     let mut transcript = Vec::new();
     let load = session.execute(&format!("LOAD {program_text}"));
     assert!(load.is_ok(), "seed {seed}: LOAD failed: {:?}", load.lines);
@@ -324,12 +319,10 @@ fn forked_sessions_match_private_from_scratch_sessions() {
         );
         let registry = Arc::new(BaseRegistry::new());
         let shared = SessionConfig {
-            incremental_models: true,
             base_registry: Some(Arc::clone(&registry)),
             ..SessionConfig::default()
         };
         let private = SessionConfig {
-            incremental_models: true,
             base_registry: None,
             ..SessionConfig::default()
         };
@@ -395,12 +388,10 @@ fn forked_transcripts_are_bit_identical_across_threads() {
         let context = format!("seed {seed:#x} threads {threads} `{program_text}`");
         let registry = Arc::new(BaseRegistry::new());
         let shared = SessionConfig {
-            incremental_models: true,
             base_registry: Some(Arc::clone(&registry)),
             ..SessionConfig::default()
         };
         let private = SessionConfig {
-            incremental_models: true,
             base_registry: None,
             ..SessionConfig::default()
         };
@@ -480,17 +471,14 @@ fn classified_budget_free_runs_match_blind_budgeted_runs() {
         }
         commands.push("MODELS".to_owned());
         let classified = SessionConfig {
-            incremental_models: true,
             classify: true,
             ..SessionConfig::default()
         };
         let blind = SessionConfig {
-            incremental_models: true,
             classify: false,
             ..SessionConfig::default()
         };
         let tight = SessionConfig {
-            incremental_models: true,
             classify: true,
             max_steps: 3,
             ..SessionConfig::default()
