@@ -531,9 +531,9 @@ fn shared_base_fork_row() -> Row {
     let deltas: Vec<String> = (0..SESSIONS)
         .map(|s| format!("ASSERT e(w{s}, v{}).", s % 80))
         .collect();
-    // The fleets never call MODELS, so neither side grounds (a registered
-    // base grounds its MODELS closure on a fork's first `MODELS sms`): the
-    // comparison isolates chase sharing.
+    // The fleets never call MODELS, so neither side grounds (and the
+    // registry shares no grounding anyway: every session grounds its own
+    // on its first `MODELS sms`): the comparison isolates chase sharing.
     let run_fleet = |forked: bool| -> (Vec<String>, usize) {
         let registry = forked.then(ntgd_server::BaseRegistry::new).map(Arc::new);
         let mut transcript = Vec::new();

@@ -340,35 +340,26 @@ impl Interpretation {
 
     /// Freezes this interpretation into an immutable shareable base.
     ///
-    /// Moves the storage when possible: a monolithic interpretation is
-    /// wrapped without copying, and a fork whose overlay is empty returns
-    /// the existing base `Arc`.  A fork with a non-empty overlay is
-    /// flattened into a fresh monolithic segment first (O(len)).
+    /// Moves the storage: a monolithic interpretation is wrapped without
+    /// copying, and a fork whose overlay is empty returns the existing base
+    /// `Arc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this is a fork with a non-empty overlay: a base is built
+    /// privately, never flattened out of a fork.
     pub fn freeze(self) -> Arc<InterpretationBase> {
         match self.base {
             None => Arc::new(InterpretationBase {
                 segment: self.overlay,
             }),
-            Some(base) if self.overlay.arena.is_empty() && self.overlay.extra_domain.is_empty() => {
-                base
-            }
             Some(base) => {
-                let mut flat = Interpretation::with_capacity(base.len() + self.overlay.arena.len());
-                for a in base.atoms() {
-                    flat.insert(a.clone());
-                }
-                for t in &base.segment.extra_domain {
-                    flat.add_domain_element(*t);
-                }
-                for a in self.overlay.arena {
-                    flat.insert(a);
-                }
-                for t in self.overlay.extra_domain {
-                    flat.add_domain_element(t);
-                }
-                Arc::new(InterpretationBase {
-                    segment: flat.overlay,
-                })
+                assert!(
+                    self.overlay.arena.is_empty() && self.overlay.extra_domain.is_empty(),
+                    "Interpretation::freeze of a fork with a non-empty overlay: \
+                     only a privately built interpretation can be frozen"
+                );
+                base
             }
         }
     }
@@ -908,6 +899,10 @@ mod tests {
 
     #[test]
     fn display_is_sorted_and_braced() {
+        // Atoms sort in symbol-intern order, which is process-wide: intern
+        // `a` before `b` here rather than rely on another test having done so.
+        Symbol::intern("a");
+        Symbol::intern("b");
         let i = Interpretation::from_atoms(vec![atom("b", vec![]), atom("a", vec![])]);
         assert_eq!(i.to_string(), "{a, b}");
     }
@@ -1206,21 +1201,17 @@ mod tests {
 
     #[test]
     fn freeze_of_an_unforked_interpretation_is_zero_copy_and_refreezable() {
-        let (mono, fork) = monolithic_and_forked();
         // Freezing a fork with an empty overlay returns the same base.
         let base = Interpretation::from_atoms(vec![atom("p", vec![cst("a")])]).freeze();
         let refrozen = Interpretation::fork(&base).freeze();
         assert!(Arc::ptr_eq(&base, &refrozen));
-        // Freezing a fork with a non-empty overlay flattens it; the result
-        // behaves like the monolithic equivalent.
-        let flat = fork.freeze();
-        assert_eq!(flat.len(), mono.len());
-        let reforked = Interpretation::fork(&flat);
-        assert_eq!(reforked, mono);
-        assert_eq!(
-            reforked.atoms().collect::<Vec<_>>(),
-            mono.atoms().collect::<Vec<_>>()
-        );
+    }
+
+    #[test]
+    #[should_panic(expected = "fork with a non-empty overlay")]
+    fn freezing_a_grown_fork_panics() {
+        let (_, fork) = monolithic_and_forked();
+        fork.freeze();
     }
 
     #[test]

@@ -148,6 +148,9 @@
 //! constants first can change the sample.  Full listings are canonical.
 //! What invalidates what:
 //!
+//! * **the session's first `MODELS sms`** — a full grounding of the live
+//!   facts (a *rebuild*), whether or not the session was forked from a
+//!   shared base;
 //! * **`ASSERT` of facts over already-known constants** — the closure
 //!   advances from the delta and the grounding appends only rule instances
 //!   whose bodies touch closure-new atoms (a *reuse*);
@@ -173,7 +176,10 @@
 //!
 //! With a [`BaseRegistry`] attached ([`SessionConfig::base_registry`]; the
 //! `ntgd-serve` binary installs one per process), sessions that `LOAD` the
-//! same program share one chased base instead of each re-chasing it:
+//! same program share one base instead of each rebuilding it.  A base is
+//! the parsed program, its classification and the frozen chase of its
+//! initial facts — nothing of `MODELS sms`, which every session grounds
+//! itself (see the MODELS caching contract above):
 //!
 //! * **Identity.**  A base is keyed by the *canonical program text* — the
 //!   trimmed `LOAD` payload, initial facts included — plus the session's
@@ -189,16 +195,13 @@
 //!   initial facts to a fixpoint, then freezes everything — arena,
 //!   compiled plans, witness memo — behind `Arc`s and registers the entry.
 //!   Registration is first-wins under races; losing builds are discarded.
-//!   The `MODELS sms` grounding of the initial facts is built once, by the
-//!   first `MODELS sms` of any fork, and frozen into the entry; a program
-//!   that is only queried is never grounded.
 //! * **Every `LOAD` of a registered key (hit — and the registering `LOAD`
 //!   itself).**  The session *forks* the entry in O(1): its arena is a
 //!   mutable overlay over the shared immutable base
 //!   (`ntgd_core::Interpretation`), `ASSERT` chases only the private fact
 //!   delta, `RETRACT-TO` can roll back to mark 0 (the fork watermark) but
-//!   never into the base, and `MODELS sms` answers over the unextended base
-//!   prefix zero-copy, adopting the snapshot on the first extension.
+//!   never into the base, and `MODELS sms` grounds the session's own fact
+//!   log on its first request, exactly as a private session does.
 //!   Forking is symmetric — the first session forks its own frozen base —
 //!   so a forked session's transcript is bit-identical to a private
 //!   from-scratch session at every thread count

@@ -2,17 +2,18 @@
 //! distinct `LOAD` payload, forked copy-on-write into every session that
 //! loads the same program.
 //!
-//! The first `LOAD` of a program parses it, compiles the rule plans and
-//! chases the initial facts to a fixpoint — then **freezes** all of that
-//! behind `Arc`s as a [`BaseEntry`] and registers it under the program's
-//! [`BaseKey`].  The entry grounds the `MODELS sms` closure of its initial
-//! facts once, on the first `MODELS sms` of any fork.  Every later `LOAD` of
-//! the same payload (the registering session included — forking is symmetric,
-//! so first and later sessions produce bit-identical transcripts) *forks*
-//! the entry in O(1): the session shares the chased arena, the compiled
-//! plans and the frozen grounding, and chases only its private fact delta
-//! on a mutable overlay (see `ntgd_core::Interpretation`,
-//! `ntgd_chase::ChaseBase` and `ntgd_sms::SmsBaseSnapshot`).
+//! The first `LOAD` of a program parses it, classifies it, compiles the rule
+//! plans and chases the initial facts to a fixpoint — then **freezes** all
+//! of that behind `Arc`s as a [`BaseEntry`] and registers it under the
+//! program's [`BaseKey`].  Every later `LOAD` of the same payload (the
+//! registering session included — forking is symmetric, so first and later
+//! sessions produce bit-identical transcripts) *forks* the entry in O(1):
+//! the session shares the parsed program, the classification, the chased
+//! arena and the compiled plans, and chases only its private fact delta on
+//! a mutable overlay (see `ntgd_core::Interpretation` and
+//! `ntgd_chase::ChaseBase`).  The registry shares nothing of `MODELS sms`:
+//! each session grounds its own fact log in its own
+//! `ntgd_sms::IncrementalSmsState`.
 //!
 //! Entries are keyed by the **canonical program text** (the trimmed `LOAD`
 //! payload, rules and initial facts alike) plus the step policy they were
@@ -33,12 +34,11 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use ntgd_chase::ChaseBase;
 use ntgd_classes::{ClassReport, ClassVerdict};
 use ntgd_core::{Atom, DisjunctiveProgram, Program};
-use ntgd_sms::SmsBaseSnapshot;
 
 /// The decidability classification of a registered program: the full
 /// landscape report plus the coarse verdict derived from it.  Computed once
@@ -110,7 +110,7 @@ pub struct BaseStats {
 }
 
 /// One frozen base: everything a session needs to answer the protocol over
-/// a program without re-parsing, re-compiling, re-chasing or re-grounding
+/// a program without re-parsing, re-classifying, re-compiling or re-chasing
 /// it.  Immutable after registration; shared via `Arc`.
 pub struct BaseEntry {
     /// The parsed rules (possibly disjunctive), shared with every fork.
@@ -120,9 +120,6 @@ pub struct BaseEntry {
     /// The frozen chase: arena at fixpoint, plans, witness memo (normal
     /// programs only).
     pub(crate) chase: Option<Arc<ChaseBase>>,
-    /// The frozen `MODELS sms` grounding of the initial facts, built by the
-    /// first fork that asks for it (`None` inside when grounding failed).
-    pub(crate) sms: OnceLock<Option<Arc<SmsBaseSnapshot>>>,
     /// The deduplicated initial facts, in assertion order.
     pub(crate) facts: Vec<Atom>,
     /// The program's classification, computed once by the registering
@@ -148,7 +145,6 @@ impl BaseEntry {
             disjunctive,
             normal,
             chase,
-            sms: OnceLock::new(),
             facts,
             class,
             hits: AtomicU64::new(0),

@@ -14,8 +14,7 @@ use ntgd_core::{obs, parallel, Atom, Database, DisjunctiveProgram, Program, Quer
 use ntgd_lp::{LpEngine, LpLimits};
 use ntgd_parser::{parse_database, parse_query, parse_unit};
 use ntgd_sms::{
-    AtomSet, GroundSmsProgram, GroundingLimits, IncrementalSmsState, NullBudget, SmsBaseSnapshot,
-    SmsEngine,
+    AtomSet, GroundSmsProgram, GroundingLimits, IncrementalSmsState, NullBudget, SmsEngine,
 };
 
 use crate::accounting::{server_requests, Accounting, SessionBudget};
@@ -237,7 +236,7 @@ impl Session {
     /// the first `LOAD` of a payload is frozen and registered, and every
     /// `LOAD` of the same payload — this first one included, so transcripts
     /// never depend on arrival order — *forks* that base copy-on-write
-    /// instead of re-parsing, re-compiling, re-chasing and re-grounding it.
+    /// instead of re-parsing, re-classifying, re-compiling and re-chasing it.
     pub fn load(&mut self, text: &str) -> Response {
         if let Some(registry) = self.config.base_registry.clone() {
             let key = BaseKey::new(text, self.config.max_steps, self.config.classify);
@@ -343,8 +342,8 @@ impl Session {
 
     /// Freezes a freshly built private state into a registrable
     /// [`BaseEntry`]: the chase moves behind an `Arc` (no arena copy).  The
-    /// `MODELS sms` grounding of the initial facts is left to the first
-    /// fork that asks for it ([`base_snapshot`]).
+    /// `MODELS sms` state, which has grounded nothing yet, is dropped: every
+    /// fork grounds its own fact log.
     fn freeze_loaded(loaded: Loaded) -> BaseEntry {
         let Loaded {
             disjunctive,
@@ -360,8 +359,8 @@ impl Session {
 
     /// Forks a registered base into a fresh session state in O(1): the
     /// chase shares the frozen arena and chases only this session's fact
-    /// delta on an overlay; `MODELS sms` answers over the base prefix
-    /// zero-copy and adopts the snapshot on the first extension.
+    /// delta on an overlay; `MODELS sms` starts from an empty state, exactly
+    /// as in a private session.
     fn fork_loaded(entry: &Arc<BaseEntry>, config: &SessionConfig) -> Loaded {
         entry.record_fork();
         // The verdict is inherited from the registered base — never
@@ -502,12 +501,8 @@ impl Session {
                     disjunctive,
                     facts,
                     sms,
-                    shared,
                     ..
                 } = loaded;
-                if let Some(snapshot) = shared.as_deref().and_then(base_snapshot) {
-                    sms.set_base(snapshot);
-                }
                 let engine = SmsEngine::new_shared(Arc::clone(disjunctive));
                 let ground = match sms.ensure_current(facts) {
                     Ok(ground) => ground,
@@ -822,25 +817,6 @@ fn sms_stat_lines(loaded: &Loaded) -> Vec<String> {
     ]
 }
 
-/// The frozen `MODELS sms` grounding of a registered base's initial facts,
-/// built once, by the first fork whose `MODELS sms` asks for it, and shared
-/// by every fork after.  A fork attaches it before its own state grounds
-/// anything, so its counters are the same whichever fork built it.
-/// `None` when grounding fails (limits): forks then ground privately and
-/// report the error, exactly like a private session.
-fn base_snapshot(entry: &BaseEntry) -> Option<Arc<SmsBaseSnapshot>> {
-    let build = || {
-        let mut state = IncrementalSmsState::new(
-            Arc::clone(&entry.disjunctive),
-            null_budget_for(entry.class.as_ref()),
-            GroundingLimits::default(),
-        );
-        state.ensure_current(&entry.facts).ok()?;
-        state.freeze(&entry.facts)
-    };
-    entry.sms.get_or_init(build).clone()
-}
-
 /// Sorts rendered `MODEL` lines, one per model.  Within a line the atoms are
 /// sorted in symbol-intern order (`Atom`'s `Ord`), as an interpretation
 /// displays them, so the listing is stable across engines and thread counts.
@@ -1083,34 +1059,28 @@ mod tests {
         };
         let script = [
             "LOAD e(X, Y) -> n(X). n(X) -> labelled(X, L). e(a, b).",
+            "MODELS sms",
             "ASSERT e(b, c).",
+            "MODELS sms",
             "QUERY ?(X) :- n(X).",
             "QUERY ?- labelled(b, L).",
             "MODELS lp max=4",
             "RETRACT-TO 0",
+            "MODELS sms",
             "QUERY ?(X) :- n(X).",
             "STATS sms",
         ];
         let mut private = Session::new(SessionConfig::default());
         let oracle = transcript(&mut private, &script);
-        // First shared LOAD registers and forks; second forks the hit.  The
-        // sms counters differ from a private session (the fork answers the
-        // base prefix zero-copy), so the script pins them via STATS sms to
-        // show both shared sessions agree — and everything *but* those
-        // lines must equal the private oracle.
+        // First shared LOAD registers and forks; second forks the hit.  Each
+        // fork grounds its own MODELS sms state, so every line — the STATS
+        // sms counters and sizes included — must equal the private oracle.
         let mut first = Session::new(shared.clone());
         let mut second = Session::new(shared.clone());
         let first_lines = transcript(&mut first, &script);
         let second_lines = transcript(&mut second, &script);
         assert_eq!(first_lines, second_lines, "fork order leaked");
-        let sans_stats = |lines: &[String]| -> Vec<String> {
-            lines
-                .iter()
-                .filter(|l| !l.starts_with("STAT "))
-                .cloned()
-                .collect()
-        };
-        assert_eq!(sans_stats(&first_lines), sans_stats(&oracle));
+        assert_eq!(first_lines, oracle);
         assert_eq!(registry.len(), 1);
     }
 
@@ -1155,34 +1125,6 @@ mod tests {
         assert!(fresh
             .lines
             .contains(&"STAT base_registry_hits=0".to_owned()));
-    }
-
-    #[test]
-    fn a_registered_base_grounds_once_on_the_first_models_sms() {
-        let registry = Arc::new(BaseRegistry::new());
-        let config = SessionConfig {
-            base_registry: Some(registry),
-            ..SessionConfig::default()
-        };
-        let program = "LOAD p(X), not q(X) -> r(X). p(a).";
-        let mut first = Session::new(config.clone());
-        let mut second = Session::new(config);
-        assert!(first.execute(program).is_ok());
-        assert!(second.execute(program).is_ok());
-        let entry = first.loaded.as_ref().and_then(|l| l.shared.clone());
-        let entry = entry.expect("the LOAD forked the registered base");
-        assert!(entry.sms.get().is_none(), "LOAD grounds nothing");
-        assert!(first.execute("MODELS lp").is_ok());
-        assert!(entry.sms.get().is_none(), "MODELS lp grounds nothing");
-        assert!(second.execute("MODELS sms").is_ok());
-        assert!(entry.sms.get().is_some_and(Option::is_some));
-        // The fork that built the snapshot and the one that found it built
-        // count the same: one zero-copy hit, no rebuild.
-        assert!(first.execute("MODELS sms").is_ok());
-        let stats = first.execute("STATS sms").lines;
-        assert_eq!(stats, second.execute("STATS sms").lines);
-        assert!(stats.contains(&"STAT sms_rebuilds=0".to_owned()));
-        assert!(stats.contains(&"STAT sms_hits=1".to_owned()));
     }
 
     #[test]

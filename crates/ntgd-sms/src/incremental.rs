@@ -61,9 +61,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use ntgd_core::{
-    obs, Atom, CompiledDisjunctiveRuleSet, Database, DisjunctiveProgram, Interpretation,
-};
+use ntgd_core::{obs, Atom, CompiledDisjunctiveRuleSet, Database, DisjunctiveProgram};
 
 use crate::grounding::{
     advance_possibly_true_closure, collect_pending, existentials_for_program,
@@ -122,49 +120,10 @@ struct SmsSnapshot {
     flips: usize,
 }
 
-/// A frozen SMS grounding over a fixed fact prefix, shareable between
-/// sessions through an [`Arc`]: the compiled disjunctive plans, the grounded
-/// program (whose possibly-true closure is itself a frozen
-/// [`ntgd_core::InterpretationBase`] fork, so adopting it copies no closure
-/// atoms), and the dedup set — everything a forked session needs to answer
-/// `MODELS` without re-grounding the base.  Produced by
-/// [`IncrementalSmsState::freeze`], consumed by
-/// [`IncrementalSmsState::set_base`].
-pub struct SmsBaseSnapshot {
-    /// Rule plans compiled when the snapshot was built.
-    plans: Arc<CompiledDisjunctiveRuleSet>,
-    /// The grounding of exactly `facts`.
-    ground: GroundSmsProgram,
-    /// Instance dedup set at the freeze.
-    seen: BTreeSet<GroundSmsRule>,
-    /// The fact log the snapshot grounds (adoption verifies the session's
-    /// log still extends this prefix — a session that retracted below the
-    /// fork watermark and regrew differently must not adopt).
-    facts: Vec<Atom>,
-}
-
-impl SmsBaseSnapshot {
-    /// Number of possibly-true closure atoms in the frozen grounding.
-    pub fn closure_atoms(&self) -> usize {
-        self.ground.closure.len()
-    }
-
-    /// Number of ground rule instances in the frozen grounding.
-    pub fn ground_rules(&self) -> usize {
-        self.ground.rules.len()
-    }
-
-    /// Number of session facts the snapshot grounds.
-    pub fn facts_consumed(&self) -> usize {
-        self.facts.len()
-    }
-}
-
 /// The live cached grounding plus the bookkeeping to advance and roll it
 /// back.
 struct LiveState {
-    /// Rule plans, compiled once per rebuild and executed by every advance
-    /// (shared with the base snapshot when adopted).
+    /// Rule plans, compiled once per rebuild and executed by every advance.
     plans: Arc<CompiledDisjunctiveRuleSet>,
     /// The maintained grounding (closure, atom table, flags, rules, facts).
     ground: GroundSmsProgram,
@@ -195,12 +154,6 @@ pub struct IncrementalSmsState {
     /// Whether any rule has an existential variable (when not, the `Auto`
     /// null budget is zero without running a chase).
     has_existentials: bool,
-    /// A shared frozen grounding of the session's base fact prefix, if this
-    /// state was forked from one.  Consulted only while `live` is `None`:
-    /// the first request over the exact base prefix is answered zero-copy,
-    /// and the first request over an extension adopts (clones) the snapshot
-    /// instead of rebuilding.
-    base: Option<Arc<SmsBaseSnapshot>>,
     live: Option<LiveState>,
     stats: SmsReuseStats,
 }
@@ -225,41 +178,9 @@ impl IncrementalSmsState {
             limits,
             existentials_by_rule,
             has_existentials,
-            base: None,
             live: None,
             stats: SmsReuseStats::default(),
         }
-    }
-
-    /// Attaches a shared frozen base snapshot (see [`SmsBaseSnapshot`]):
-    /// requests over the snapshot's fact prefix (or an extension of it) are
-    /// answered from the snapshot instead of rebuilding.
-    pub fn set_base(&mut self, base: Arc<SmsBaseSnapshot>) {
-        self.base = Some(base);
-    }
-
-    /// Freezes this state's live grounding into a shareable
-    /// [`SmsBaseSnapshot`] of exactly `facts` (the state must be current for
-    /// that log).  Returns `None` when there is nothing frozen-worthy: no
-    /// live grounding, or one for a different fact prefix.
-    pub fn freeze(mut self, facts: &[Atom]) -> Option<Arc<SmsBaseSnapshot>> {
-        let mut live = self.live.take()?;
-        if live.facts_stale {
-            Self::refresh_facts(&mut live, facts);
-        }
-        if live.facts_consumed != facts.len() {
-            return None;
-        }
-        // Freeze the closure arena so that adopting the snapshot copies no
-        // closure atoms: adopters fork it and grow a private overlay.
-        let closure = std::mem::take(&mut live.ground.closure);
-        live.ground.closure = Interpretation::fork(&closure.freeze());
-        Some(Arc::new(SmsBaseSnapshot {
-            plans: live.plans,
-            ground: live.ground,
-            seen: live.seen,
-            facts: facts.to_vec(),
-        }))
     }
 
     /// The cumulative reuse counters.
@@ -281,34 +202,6 @@ impl IncrementalSmsState {
             .as_ref()
             .map(|live| live.ground.rules.len())
             .unwrap_or(0)
-    }
-
-    /// Returns `true` if `facts` extends (or equals) the base snapshot's
-    /// fact prefix.
-    fn extends_base(base: &SmsBaseSnapshot, facts: &[Atom]) -> bool {
-        facts.len() >= base.facts.len() && facts[..base.facts.len()] == base.facts[..]
-    }
-
-    /// A live state adopted from a shared snapshot: clones the grounding
-    /// (the closure clone is O(1) — it shares the frozen arena) and anchors
-    /// the snapshot list at the base prefix, so later retractions can roll
-    /// back to the fork watermark but never into the shared base.
-    fn adopt(base: &SmsBaseSnapshot) -> LiveState {
-        LiveState {
-            plans: Arc::clone(&base.plans),
-            ground: base.ground.clone(),
-            seen: base.seen.clone(),
-            flip_log: Vec::new(),
-            snapshots: vec![SmsSnapshot {
-                facts: base.facts.len(),
-                closure_len: base.ground.closure.len(),
-                atoms_len: base.ground.atoms.len(),
-                rules_len: base.ground.rules.len(),
-                flips: 0,
-            }],
-            facts_consumed: base.facts.len(),
-            facts_stale: false,
-        }
     }
 
     /// Brings the cached grounding up to date with the live fact log and
@@ -333,18 +226,6 @@ impl IncrementalSmsState {
                 }
                 self.stats.hits += 1;
                 return Ok(&self.live.as_ref().expect("checked above").ground);
-            }
-        } else if let Some(base) = &self.base {
-            if Self::extends_base(base, facts) {
-                if base.facts.len() == facts.len() {
-                    // Zero-copy shared hit: the request asks for exactly the
-                    // frozen base prefix.
-                    self.stats.hits += 1;
-                    return Ok(&self.base.as_ref().expect("checked above").ground);
-                }
-                // The log extends the base: adopt the snapshot and let the
-                // advance/rebuild logic below take it from there.
-                self.live = Some(Self::adopt(base));
             }
         }
         let database =
@@ -778,90 +659,6 @@ mod tests {
             models_incremental(&program, &mut state, &live),
             models_oracle(&program, &live)
         );
-    }
-
-    #[test]
-    fn forked_state_hits_the_shared_snapshot_zero_copy() {
-        let (program, mut builder) = state("p(X), not q(X) -> r(X).");
-        let base_facts = facts("p(a). q(b).");
-        let expected = models_incremental(&program, &mut builder, &base_facts);
-        let snapshot = builder.freeze(&base_facts).expect("live state freezes");
-        assert!(snapshot.closure_atoms() > 0);
-        assert_eq!(snapshot.facts_consumed(), base_facts.len());
-
-        let mut fork = IncrementalSmsState::new(
-            Arc::clone(&program),
-            NullBudget::Auto,
-            GroundingLimits::default(),
-        );
-        fork.set_base(Arc::clone(&snapshot));
-        assert_eq!(
-            models_incremental(&program, &mut fork, &base_facts),
-            expected
-        );
-        // Answered from the shared snapshot without building anything.
-        assert_eq!(fork.stats().hits, 1);
-        assert_eq!(fork.stats().rebuilds, 0);
-    }
-
-    #[test]
-    fn forked_state_adopts_and_advances_like_a_private_one() {
-        // Constants are all introduced up front, so the fork's delta keeps
-        // the candidate domain stable and the adopted state advances.
-        let (program, mut builder) =
-            state("e(X, Y), not blocked(X) -> r(X, Y). r(X, Y), e(Y, Z) -> r(X, Z).");
-        let base_facts = facts("seen(a). seen(b). seen(c). blocked(c).");
-        models_incremental(&program, &mut builder, &base_facts);
-        let snapshot = builder.freeze(&base_facts).expect("live state freezes");
-
-        let mut fork = IncrementalSmsState::new(
-            Arc::clone(&program),
-            NullBudget::Auto,
-            GroundingLimits::default(),
-        );
-        fork.set_base(Arc::clone(&snapshot));
-        let mut live = base_facts.clone();
-        live.extend(facts("e(a, b). e(b, c)."));
-        assert_eq!(
-            models_incremental(&program, &mut fork, &live),
-            models_oracle(&program, &live)
-        );
-        assert_eq!(fork.stats().rebuilds, 0, "the base grounding is reused");
-        assert_eq!(fork.stats().reuses, 1);
-        // Retracting to the fork watermark rolls back to the adopted
-        // snapshot; answers still match the oracle.
-        fork.retract_to_facts(base_facts.len());
-        assert_eq!(
-            models_incremental(&program, &mut fork, &base_facts),
-            models_oracle(&program, &base_facts)
-        );
-        assert_eq!(fork.stats().rollbacks, 1);
-        assert_eq!(fork.stats().rebuilds, 0);
-    }
-
-    #[test]
-    fn forked_state_must_not_adopt_a_diverged_prefix() {
-        let (program, mut builder) = state("p(X), not q(X) -> r(X).");
-        let base_facts = facts("p(a). p(b).");
-        models_incremental(&program, &mut builder, &base_facts);
-        let snapshot = builder.freeze(&base_facts).expect("live state freezes");
-
-        let mut fork = IncrementalSmsState::new(
-            Arc::clone(&program),
-            NullBudget::Auto,
-            GroundingLimits::default(),
-        );
-        fork.set_base(snapshot);
-        // The session retracted below the fork watermark and regrew with a
-        // different fact: the snapshot no longer applies and the state must
-        // rebuild, not adopt.
-        let diverged = facts("p(a). q(a).");
-        assert_eq!(
-            models_incremental(&program, &mut fork, &diverged),
-            models_oracle(&program, &diverged)
-        );
-        assert_eq!(fork.stats().rebuilds, 1);
-        assert_eq!(fork.stats().hits, 0);
     }
 
     #[test]

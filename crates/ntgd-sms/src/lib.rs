@@ -46,6 +46,6 @@ pub use engine::{SmsAnswer, SmsEngine, SmsError, SmsOptions, SmsStatistics};
 pub use grounding::{
     ground_sms, AtomTable, GroundSmsProgram, GroundSmsRule, GroundingError, GroundingLimits,
 };
-pub use incremental::{IncrementalSmsState, SmsBaseSnapshot, SmsReuseStats};
+pub use incremental::{IncrementalSmsState, SmsReuseStats};
 pub use stability::{is_stable_model, AtomSet};
 pub use universe::{build_domain, Domain, NullBudget};
