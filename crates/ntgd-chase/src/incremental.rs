@@ -7,20 +7,29 @@
 //!
 //! * [`IncrementalChase::assert_facts`] inserts a batch of new facts and
 //!   **re-chases incrementally**: the new facts seed the semi-naive delta
-//!   worklist ([`triggers_from_compiled`] with the pre-assert arena length
-//!   as watermark), so only the delta neighbourhood is matched — never the
-//!   whole instance, and never from scratch.  Because the pre-assert state
-//!   is a fixpoint, delta triggers are exactly the new triggers.
+//!   worklist (the trigger discovery of [`triggers_from_compiled`] with the
+//!   pre-assert arena length as watermark), so only the delta neighbourhood
+//!   is matched — never the whole instance, and never from scratch.  Because
+//!   the pre-assert state is a fixpoint, delta triggers are exactly the new
+//!   triggers.
 //! * [`IncrementalChase::mark`] captures an [`EpochMark`] (arena watermark
 //!   plus witness-memo length); [`IncrementalChase::retract_to`] rolls the
 //!   session back to a mark in `O(atoms retracted)` by truncating the arena
 //!   ([`Interpretation::truncate`]) and un-memoising the witnesses invented
 //!   since — ids, indexes and memos of surviving epochs are untouched.
 //!
+//! A pending trigger is kept as its rule index and its positive-body slot
+//! values, and applying it builds the head atoms from those values through
+//! the rule's head template ([`ntgd_core::RuleShape`], computed once when
+//! the rule is compiled).  Only a rule with existential variables builds a
+//! witness key and consults the memo; an existential-free (Datalog) rule
+//! never touches the memo, its rollback log or the null-owner map.
+//!
 //! # Which chase, and why the result is batching-invariant
 //!
 //! The incremental chase uses **Skolem (semi-oblivious) semantics** with
-//! witnesses memoised per `(rule, frontier binding)`, like [`skolem_chase`].
+//! witnesses memoised per `(rule, frontier binding)` for the rules with
+//! existential variables, like [`skolem_chase`].
 //! This is a deliberate choice: the *restricted* chase is order-dependent —
 //! whether a trigger is applied depends on which witnesses happen to exist
 //! already, so chasing `D₁` to fixpoint before seeing `D₂` can produce a
@@ -51,6 +60,7 @@
 //! to perturb naming, which no realistic session size approaches.
 //!
 //! [`restricted_chase`]: crate::restricted::restricted_chase
+//! [`triggers_from_compiled`]: crate::trigger::triggers_from_compiled
 //! [`skolem_chase`]: crate::skolem::skolem_chase
 //! [`oblivious_chase`]: crate::oblivious::oblivious_chase
 
@@ -58,16 +68,16 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use ntgd_core::{
-    obs, Atom, CompiledRuleSet, Interpretation, InterpretationBase, NullId, Program, Symbol, Term,
+    obs, Atom, CompiledRuleSet, Interpretation, InterpretationBase, NullId, Program, Term,
 };
 
 use crate::restricted::ChaseConfig;
-use crate::trigger::triggers_from_compiled;
+use crate::trigger::{fan_out_triggers, TriggerSink};
 
 /// Chase hot-loop telemetry, batched per worklist drain so the per-trigger
 /// path stays atomic-free: round count, triggers applied, and how the
-/// witness memo split between hits (an existing Skolem witness reused) and
-/// misses (fresh labelled nulls minted).
+/// triggers of existential rules split between witness-memo hits (an
+/// existing Skolem witness reused) and misses (fresh labelled nulls minted).
 static CHASE_ROUNDS: obs::Counter = obs::Counter::new("chase.rounds");
 static CHASE_TRIGGERS: obs::Counter = obs::Counter::new("chase.triggers");
 static CHASE_MEMO_HITS: obs::Counter = obs::Counter::new("chase.witness_memo_hits");
@@ -83,11 +93,46 @@ struct DrainTallies {
 }
 
 /// Memo key of a Skolem witness: rule index plus the values of the rule's
-/// frontier variables (in `frontier_variables()` order).
+/// frontier variables (in `frontier_variables()` order).  Only rules with
+/// existential variables have witnesses, so only their triggers build a key.
 type WitnessKey = (usize, Vec<Term>);
 
+/// The pending triggers of a drain, first in first out: each trigger's rule
+/// index, and its positive-body slot values back to back (the rule's
+/// `body_positive().slot_count()` of them per trigger).  A trigger costs no
+/// allocation of its own.
+#[derive(Debug, Default)]
+struct SlotTriggers {
+    rules: VecDeque<usize>,
+    values: VecDeque<Term>,
+}
+
+impl TriggerSink for SlotTriggers {
+    fn append(&mut self, other: Self) {
+        self.rules.extend(other.rules);
+        self.values.extend(other.values);
+    }
+}
+
+/// Queues every trigger whose body image uses an atom inserted at or after
+/// `watermark`, in the order of
+/// [`triggers_from_compiled`](crate::trigger::triggers_from_compiled).
+fn discover(
+    plans: &CompiledRuleSet,
+    instance: &Interpretation,
+    watermark: usize,
+    pending: &mut SlotTriggers,
+) {
+    fan_out_triggers(plans, instance, watermark, pending, |out, idx, binding| {
+        out.rules.push_back(idx);
+        out.values.extend(binding.slot_values());
+    });
+}
+
 /// A rollback point of an [`IncrementalChase`]: everything needed to undo
-/// the assertions made after it was taken.
+/// the assertions made after it was taken (the arena length, the number of
+/// memoised witness keys — one per `(rule, frontier)` of an existential
+/// rule — and the step count).
 ///
 /// Marks are plain data and only meaningful for the chase that issued them;
 /// rolling back to a mark invalidates every mark taken later.
@@ -95,7 +140,8 @@ type WitnessKey = (usize, Vec<Term>);
 pub struct EpochMark {
     /// Arena watermark: `instance.len()` when the mark was taken.
     arena_len: usize,
-    /// Witness-memo watermark: number of memoised witness keys.
+    /// Witness-memo watermark: number of memoised witness keys (existential
+    /// rules only).
     witnesses: usize,
     /// Trigger applications performed so far.
     steps: usize,
@@ -107,7 +153,8 @@ impl EpochMark {
         self.arena_len
     }
 
-    /// The number of memoised witness keys captured by this mark.
+    /// The number of memoised witness keys captured by this mark.  Only
+    /// triggers of rules with existential variables memoise a key.
     pub fn witnesses(&self) -> usize {
         self.witnesses
     }
@@ -214,8 +261,8 @@ pub struct IncrementalChase {
     /// the base's frozen arena as its base segment when forked.
     instance: Interpretation,
     /// `(rule, frontier)` → memoised witness terms, in
-    /// `existential_variables()` order.  Overlay-local when forked; lookups
-    /// chain to the base memo.
+    /// `existential_variables()` order, for rules with existential variables
+    /// only.  Overlay-local when forked; lookups chain to the base memo.
     witnesses: HashMap<WitnessKey, Vec<Term>>,
     /// Witness keys in creation order (the rollback log; overlay-local).
     witness_log: Vec<WitnessKey>,
@@ -251,8 +298,9 @@ impl IncrementalChase {
             steps: 0,
             config,
         };
-        let seed = triggers_from_compiled(&chase.plans, &chase.instance, 0);
-        chase.drain(seed.into())?;
+        let mut seed = SlotTriggers::default();
+        discover(&chase.plans, &chase.instance, 0, &mut seed);
+        chase.drain(seed)?;
         Ok(chase)
     }
 
@@ -430,8 +478,8 @@ impl IncrementalChase {
                 added_facts += 1;
             }
         }
-        let pending: VecDeque<_> =
-            triggers_from_compiled(&self.plans, &self.instance, watermark).into();
+        let mut pending = SlotTriggers::default();
+        discover(&self.plans, &self.instance, watermark, &mut pending);
         if let Err(limit) = self.drain(pending) {
             self.retract_to(&mark);
             return Err(limit);
@@ -445,10 +493,7 @@ impl IncrementalChase {
 
     /// Runs the Skolem-chase worklist to fixpoint, bounded by the per-call
     /// step budget.  On `Err` the caller is responsible for rolling back.
-    fn drain(
-        &mut self,
-        pending: VecDeque<crate::trigger::Trigger>,
-    ) -> Result<(), StepLimitExceeded> {
+    fn drain(&mut self, pending: SlotTriggers) -> Result<(), StepLimitExceeded> {
         let _round = obs::span("chase.round");
         CHASE_ROUNDS.incr();
         let mut tallies = DrainTallies::default();
@@ -459,57 +504,66 @@ impl IncrementalChase {
         result
     }
 
+    /// Applies pending triggers until none is left.  Head atoms are built
+    /// from the trigger's slot values through the rule's head template; only
+    /// a rule with existential variables builds a witness key and consults
+    /// the memo.
     fn drain_inner(
         &mut self,
-        mut pending: VecDeque<crate::trigger::Trigger>,
+        mut pending: SlotTriggers,
         tallies: &mut DrainTallies,
     ) -> Result<(), StepLimitExceeded> {
         let start = self.steps;
-        while let Some(trigger) = pending.pop_front() {
+        let mut slots: Vec<Term> = Vec::new();
+        let mut witnesses: Vec<Term> = Vec::new();
+        let mut args: Vec<Term> = Vec::new();
+        while let Some(rule_index) = pending.rules.pop_front() {
             tallies.triggers += 1;
-            let rule = &self.positive.rules()[trigger.rule_index];
-            let frontier: Vec<Term> = rule
-                .frontier_variables()
-                .into_iter()
-                .map(|v| trigger.homomorphism.apply_term(&Term::Var(v)))
-                .collect();
-            let key: WitnessKey = (trigger.rule_index, frontier);
-            let existentials: Vec<Symbol> = rule.existential_variables().into_iter().collect();
-            let memoised = self
-                .witnesses
-                .get(&key)
-                .or_else(|| self.base.as_ref().and_then(|b| b.witnesses.get(&key)));
-            let witness_terms = match memoised {
-                Some(terms) => {
-                    tallies.memo_hits += 1;
-                    terms.clone()
+            let rule = self.plans.rule(rule_index);
+            let shape = rule.shape();
+            slots.clear();
+            slots.extend(pending.values.drain(..rule.body_positive().slot_count()));
+            witnesses.clear();
+            if !shape.existentials().is_empty() {
+                let key: WitnessKey = (
+                    rule_index,
+                    shape.frontier().iter().map(|&slot| slots[slot]).collect(),
+                );
+                let memoised = self
+                    .witnesses
+                    .get(&key)
+                    .or_else(|| self.base.as_ref().and_then(|b| b.witnesses.get(&key)));
+                match memoised {
+                    Some(terms) => {
+                        tallies.memo_hits += 1;
+                        witnesses.extend_from_slice(terms);
+                    }
+                    None => {
+                        tallies.memo_misses += 1;
+                        let base_owners = self.base.as_ref().map(|b| &b.null_owner);
+                        let terms: Vec<Term> = (0..shape.existentials().len())
+                            .map(|index| {
+                                Term::Null(claim_null_id(
+                                    base_owners,
+                                    &mut self.null_owner,
+                                    &key,
+                                    index,
+                                ))
+                            })
+                            .collect();
+                        witnesses.extend_from_slice(&terms);
+                        self.witness_log.push(key.clone());
+                        self.witnesses.insert(key, terms);
+                    }
                 }
-                None => {
-                    tallies.memo_misses += 1;
-                    let base_owners = self.base.as_ref().map(|b| &b.null_owner);
-                    let terms: Vec<Term> = (0..existentials.len())
-                        .map(|index| {
-                            Term::Null(claim_null_id(
-                                base_owners,
-                                &mut self.null_owner,
-                                &key,
-                                index,
-                            ))
-                        })
-                        .collect();
-                    self.witness_log.push(key.clone());
-                    self.witnesses.insert(key, terms.clone());
-                    terms
-                }
-            };
-            let mut homomorphism = trigger.homomorphism.clone();
-            for (variable, witness) in existentials.iter().zip(witness_terms) {
-                homomorphism.bind(Term::Var(*variable), witness);
             }
             let head_watermark = self.instance.len();
             let mut new_atom = false;
-            for atom in rule.head() {
-                if self.instance.insert(homomorphism.apply_atom(atom)) {
+            for template in shape.head() {
+                template.ground_into(&slots, &witnesses, &mut args);
+                if !self.instance.contains_parts(template.predicate(), &args) {
+                    self.instance
+                        .insert(Atom::new(template.predicate(), args.clone()));
                     new_atom = true;
                 }
             }
@@ -520,11 +574,7 @@ impl IncrementalChase {
                         return Err(StepLimitExceeded { max_steps });
                     }
                 }
-                pending.extend(triggers_from_compiled(
-                    &self.plans,
-                    &self.instance,
-                    head_watermark,
-                ));
+                discover(&self.plans, &self.instance, head_watermark, &mut pending);
             }
         }
         Ok(())
@@ -710,9 +760,9 @@ mod tests {
         chase.assert_facts(facts("p(a).")).unwrap();
         let mark = chase.mark();
         assert_eq!(mark.arena_len(), chase.instance().len());
-        // One (rule, frontier) entry per applied trigger — including the
-        // existential-free rule, whose memoised witness list is empty.
-        assert_eq!(mark.witnesses(), 2);
+        // One (rule, frontier) entry for the existential rule's trigger; the
+        // existential-free rule `q(X, Y) -> r(Y)` memoises nothing.
+        assert_eq!(mark.witnesses(), 1);
         assert_eq!(mark.steps(), chase.steps());
         assert_eq!(chase.atoms_since(&mark).count(), 0);
         chase.assert_facts(facts("p(b).")).unwrap();
@@ -722,6 +772,51 @@ mod tests {
         // The delta is exactly the suffix the next epoch would retract.
         chase.retract_to(&mark);
         assert_eq!(chase.atoms_since(&mark).count(), 0);
+    }
+
+    #[test]
+    fn datalog_sessions_leave_the_memo_empty_and_still_roll_back_exactly() {
+        let program =
+            parse_program("e(X, Y) -> p(X, Y). p(X, Y), e(Y, Z) -> p(X, Z). p(X, X) -> loop(X).")
+                .unwrap();
+        let mut chase = IncrementalChase::new(&program, ChaseConfig::default()).unwrap();
+        let mut marks = vec![chase.mark()];
+        let mut arenas = vec![Vec::new()];
+        for batch in [
+            "e(a, b). e(b, c).",
+            "e(c, a).",
+            "e(c, d). e(d, e).",
+            "e(e, a).",
+        ] {
+            chase.assert_facts(facts(batch)).unwrap();
+            marks.push(chase.mark());
+            arenas.push(chase.instance().atoms().cloned().collect::<Vec<_>>());
+        }
+        assert!(chase.steps() > 0);
+        assert!(chase.instance().contains(&atom("loop", vec![cst("a")])));
+        // No trigger of an existential-free rule touches the memo.
+        assert!(chase.witnesses.is_empty());
+        assert!(chase.witness_log.is_empty());
+        assert!(chase.null_owner.is_empty());
+        assert!(marks.iter().all(|mark| mark.witnesses() == 0));
+        assert_eq!(chase.nulls_created(), 0);
+        // Rolling back across several epochs restores each arena exactly,
+        // and re-asserting the rolled-back batch regrows the same arena.
+        for epoch in (0..marks.len() - 1).rev() {
+            chase.retract_to(&marks[epoch]);
+            assert_eq!(chase.mark(), marks[epoch]);
+            assert_eq!(
+                chase.instance().atoms().cloned().collect::<Vec<_>>(),
+                arenas[epoch],
+                "epoch {epoch}"
+            );
+        }
+        chase.assert_facts(facts("e(a, b). e(b, c).")).unwrap();
+        assert_eq!(
+            chase.instance().atoms().cloned().collect::<Vec<_>>(),
+            arenas[1]
+        );
+        assert_eq!(chase.mark(), marks[1]);
     }
 
     #[test]

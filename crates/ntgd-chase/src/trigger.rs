@@ -6,8 +6,8 @@
 //! plans per call and are kept for tests and callers outside fixpoint loops.
 
 use ntgd_core::{
-    matcher, parallel, Atom, CompiledRuleSet, Interpretation, Ntgd, NullFactory, Program,
-    Substitution, Term,
+    matcher, parallel, Atom, CompiledRule, CompiledRuleSet, Interpretation, Ntgd, NullFactory,
+    Program, SlotBinding, Substitution, Term,
 };
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,66 +119,96 @@ pub fn triggers_from_compiled(
     instance: &Interpretation,
     watermark: usize,
 ) -> Vec<Trigger> {
-    fan_out_triggers(plans, instance, watermark, |_, _| true)
+    let mut out = Vec::new();
+    fan_out_triggers(plans, instance, watermark, &mut out, |out, idx, binding| {
+        out.push(Trigger {
+            rule_index: idx,
+            homomorphism: binding.to_substitution(),
+        });
+    });
+    out
 }
 
-/// The shared `(rule, delta-pivot)` fan-out behind the two trigger
-/// discovery variants: enumerates every positive-body binding of every rule
-/// against the delta suffix, materialises it, and keeps the triggers for
-/// which `keep(rule index, homomorphism)` holds.
+/// A collection [`fan_out_triggers`] emits into.
+pub(crate) trait TriggerSink: Default + Send {
+    /// Appends `other`'s contents after this sink's.
+    fn append(&mut self, other: Self);
+}
+
+impl TriggerSink for Vec<Trigger> {
+    fn append(&mut self, mut other: Self) {
+        Vec::append(self, &mut other);
+    }
+}
+
+/// The one `(rule, delta-pivot)` fan-out behind every trigger discovery
+/// variant: enumerates every positive-body binding of every rule against the
+/// delta suffix and hands each to `emit(sink, rule index, binding)`, which
+/// appends whatever its chase keeps of a trigger.
 ///
 /// Work items are ordered by rule index then pivot.  With a zero watermark
 /// the whole enumeration of a rule is attributed to pivot 0 (see
 /// `CompiledConjunction::for_each_delta_pivot`), so one item per rule
-/// suffices.
-fn fan_out_triggers<F>(
+/// suffices.  A round that stays on one thread emits straight into `out`;
+/// a pooled round gives each item a sink of its own and appends them to
+/// `out` in item order, so `out` receives the same sequence either way.
+pub(crate) fn fan_out_triggers<S, F>(
     plans: &CompiledRuleSet,
     instance: &Interpretation,
     watermark: usize,
-    keep: F,
-) -> Vec<Trigger>
-where
-    F: Fn(usize, &Substitution) -> bool + Sync,
+    out: &mut S,
+    emit: F,
+) where
+    S: TriggerSink,
+    F: Fn(&mut S, usize, &SlotBinding<'_>) + Sync,
 {
-    let mut items: Vec<(usize, usize)> = Vec::new();
-    for (idx, rule) in plans.iter() {
-        let pivots = if watermark == 0 {
+    let pivots = |rule: &CompiledRule| {
+        if watermark == 0 {
             1
         } else {
             rule.body_positive().positive_count()
-        };
-        for pivot in 0..pivots {
-            items.push((idx, pivot));
         }
-    }
+    };
     let work = if watermark == 0 {
         instance.len().max(1)
     } else {
         instance.len().saturating_sub(watermark)
     };
-    let threads = parallel::threads_for(work);
     let empty = Substitution::new();
-    let buckets = parallel::par_map_with(&items, threads, |_, &(idx, pivot)| {
-        let mut out: Vec<Trigger> = Vec::new();
+    let run = |sink: &mut S, idx: usize, pivot: usize| {
         plans.rule(idx).body_positive().for_each_delta_pivot(
             instance,
             &empty,
             watermark,
             pivot,
             &mut |binding| {
-                let homomorphism = binding.to_substitution();
-                if keep(idx, &homomorphism) {
-                    out.push(Trigger {
-                        rule_index: idx,
-                        homomorphism,
-                    });
-                }
+                emit(sink, idx, binding);
                 ControlFlow::Continue(())
             },
         );
-        out
+    };
+    let item_count: usize = plans.iter().map(|(_, rule)| pivots(rule)).sum();
+    let threads = parallel::threads_for(work).min(item_count);
+    if threads <= 1 {
+        for (idx, rule) in plans.iter() {
+            for pivot in 0..pivots(rule) {
+                run(out, idx, pivot);
+            }
+        }
+        return;
+    }
+    let items: Vec<(usize, usize)> = plans
+        .iter()
+        .flat_map(|(idx, rule)| (0..pivots(rule)).map(move |pivot| (idx, pivot)))
+        .collect();
+    let buckets = parallel::par_map_with(&items, threads, |_, &(idx, pivot)| {
+        let mut sink = S::default();
+        run(&mut sink, idx, pivot);
+        sink
     });
-    buckets.into_iter().flatten().collect()
+    for bucket in buckets {
+        out.append(bucket);
+    }
 }
 
 /// [`triggers_from_compiled`] restricted to **active** triggers: each
@@ -197,10 +227,18 @@ pub fn active_triggers_from_compiled(
     instance: &Interpretation,
     watermark: usize,
 ) -> Vec<Trigger> {
-    fan_out_triggers(plans, instance, watermark, |idx, homomorphism| {
+    let mut out = Vec::new();
+    fan_out_triggers(plans, instance, watermark, &mut out, |out, idx, binding| {
+        let homomorphism = binding.to_substitution();
         ACTIVITY_CHECKS.fetch_add(1, Ordering::Relaxed);
-        !plans.rule(idx).head().exists(instance, homomorphism)
-    })
+        if !plans.rule(idx).head().exists(instance, &homomorphism) {
+            out.push(Trigger {
+                rule_index: idx,
+                homomorphism,
+            });
+        }
+    });
+    out
 }
 
 /// Returns `true` if the trigger is *active* in the restricted-chase sense:

@@ -53,6 +53,7 @@ pub use query::Query;
 pub use rule::{Ndtgd, Ntgd};
 pub use ruleset::{
     CompiledDisjunctiveRule, CompiledDisjunctiveRuleSet, CompiledRule, CompiledRuleSet,
+    HeadTemplate, RuleShape,
 };
 pub use schema::{Position, Schema};
 pub use substitution::Substitution;

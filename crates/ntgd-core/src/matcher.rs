@@ -361,7 +361,7 @@ impl SlotBinding<'_> {
     pub fn to_substitution(&self) -> Substitution {
         let mut out = self.initial.clone();
         for (slot, value) in self.slots.iter().enumerate() {
-            if self.preset[slot] {
+            if self.preset.get(slot).copied().unwrap_or(false) {
                 continue;
             }
             if let Some(value) = value {
@@ -369,6 +369,17 @@ impl SlotBinding<'_> {
             }
         }
         out
+    }
+
+    /// Copies out the slot values in slot order (see
+    /// [`CompiledConjunction::slot_of`]).  Every slot is bound while a
+    /// visitor runs, so this yields exactly
+    /// [`CompiledConjunction::slot_count`] terms: the cheapest way to keep a
+    /// binding beyond the callback when the keeper knows the slot layout.
+    pub fn slot_values(&self) -> impl Iterator<Item = Term> + '_ {
+        self.slots
+            .iter()
+            .map(|value| value.expect("every slot is bound while a visitor runs"))
     }
 }
 
@@ -545,6 +556,16 @@ impl CompiledConjunction {
         self.positives.len()
     }
 
+    /// Number of slots: the distinct variables of the conjunction.
+    pub fn slot_count(&self) -> usize {
+        self.slot_keys.len()
+    }
+
+    /// The slot a variable of the conjunction is bound in, if it occurs.
+    pub fn slot_of(&self, variable: &Term) -> Option<usize> {
+        self.slot_keys.iter().position(|key| key == variable)
+    }
+
     /// Enumerates every homomorphism extending `initial`, invoking `visit`
     /// with a borrowed [`SlotBinding`] per result; stops early if `visit`
     /// breaks.  Returns `true` if stopped early.
@@ -634,6 +655,18 @@ impl CompiledConjunction {
         self.for_each(target, initial, &mut |_| ControlFlow::Break(()))
     }
 
+    /// Whether the predicate of positive literal `pivot` gained an atom at
+    /// or after `watermark`; a pivot that did not matches nothing.
+    fn pivot_has_delta(&self, target: &Interpretation, watermark: usize, pivot: usize) -> bool {
+        let predicate = self.positives[pivot].predicate;
+        !restrict(
+            target.ids_with_predicate(predicate),
+            DeltaClass::Delta,
+            watermark,
+        )
+        .is_empty()
+    }
+
     fn run<F>(
         &self,
         target: &Interpretation,
@@ -644,6 +677,12 @@ impl CompiledConjunction {
     where
         F: FnMut(&SlotBinding<'_>) -> ControlFlow<()>,
     {
+        if let Some((w, Some(pivot))) = watermark {
+            // Skip an idle pivot before setting up an execution.
+            if w > 0 && pivot < self.positives.len() && !self.pivot_has_delta(target, w, pivot) {
+                return ControlFlow::Continue(());
+            }
+        }
         match Exec::new(self, target, initial) {
             Some(mut exec) => match watermark {
                 None => exec.run_full(visit),
@@ -724,6 +763,7 @@ struct Exec<'c, 'i> {
     slots: Vec<Option<Term>>,
     /// Slot id → `true` if the binding comes from the initial substitution
     /// (never undone, not re-emitted into materialised substitutions).
+    /// Empty when no slot is preset, which is the common case.
     preset: Vec<bool>,
     /// Undo log of slot ids bound since the enclosing choice point.
     trail: Vec<usize>,
@@ -745,11 +785,12 @@ impl<'c, 'i> Exec<'c, 'i> {
     ) -> Option<Exec<'c, 'i>> {
         let slot_count = plan.slot_keys.len();
         let mut slots: Vec<Option<Term>> = vec![None; slot_count];
-        let mut preset: Vec<bool> = vec![false; slot_count];
+        let mut preset: Vec<bool> = Vec::new();
         if plan.bakes_initial {
             for (slot, value) in plan.compile_preset.iter().enumerate() {
                 if let Some(value) = value {
                     slots[slot] = Some(*value);
+                    preset.resize(slot_count, false);
                     preset[slot] = true;
                 }
             }
@@ -761,6 +802,7 @@ impl<'c, 'i> Exec<'c, 'i> {
                         return None;
                     }
                     slots[slot] = Some(value);
+                    preset.resize(slot_count, false);
                     preset[slot] = true;
                 }
             }
@@ -861,13 +903,10 @@ impl<'c, 'i> Exec<'c, 'i> {
     where
         F: FnMut(&SlotBinding<'_>) -> ControlFlow<()>,
     {
-        let pivot_predicate = self.plan.positives[pivot].predicate;
-        let delta_ids = restrict(
-            self.target.ids_with_predicate(pivot_predicate),
-            DeltaClass::Delta,
-            self.watermark,
-        );
-        if delta_ids.is_empty() {
+        if !self
+            .plan
+            .pivot_has_delta(self.target, self.watermark, pivot)
+        {
             return ControlFlow::Continue(());
         }
         self.pivot = Some(pivot);

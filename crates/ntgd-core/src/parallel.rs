@@ -57,11 +57,14 @@
 //! # Thread-count selection
 //!
 //! [`num_threads`] resolves, in order: the process-wide override installed
-//! with [`set_thread_override`] (used by benchmarks and determinism tests),
-//! the `NTGD_THREADS` environment variable (CI runs the test matrix at
-//! `NTGD_THREADS=1` and at default parallelism), and finally
-//! [`std::thread::available_parallelism`].  Callers gate rounds with
-//! [`threads_for`]: a round fans out from [`MIN_POOLED_WORK`] work units.
+//! with [`set_thread_override`] (used by benchmarks and determinism tests,
+//! and checked on every call), the `NTGD_THREADS` environment variable (CI
+//! runs the test matrix at `NTGD_THREADS=1` and at default parallelism), and
+//! finally [`std::thread::available_parallelism`].  The last two are
+//! resolved once per process: detecting the parallelism reads the cgroup
+//! quota files on every call, which costs microseconds per round.  Callers
+//! gate rounds with [`threads_for`]: a round fans out from
+//! [`MIN_POOLED_WORK`] work units.
 
 use std::cell::{Cell, UnsafeCell};
 use std::num::NonZeroUsize;
@@ -110,21 +113,24 @@ pub fn threads_for(work: usize) -> usize {
 /// The number of worker threads parallel rounds use: the
 /// [`set_thread_override`] value if set, else `NTGD_THREADS` (values `>= 1`;
 /// anything else is ignored), else [`std::thread::available_parallelism`].
+/// The fallback is resolved on the first call and kept for the process.
 pub fn num_threads() -> usize {
     let overridden = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if overridden >= 1 {
         return overridden;
     }
-    if let Ok(text) = std::env::var("NTGD_THREADS") {
-        if let Ok(n) = text.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static RESOLVED: OnceLock<usize> = OnceLock::new();
+    *RESOLVED.get_or_init(|| {
+        std::env::var("NTGD_THREADS")
+            .ok()
+            .and_then(|text| text.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
+    })
 }
 
 /// Snapshot of the persistent pool's counters (surfaced by the reasoning

@@ -21,6 +21,13 @@
 //! plan serves every trigger: the (ground-valued) trigger homomorphism is
 //! applied at execution time as slot presets.  Tests can assert the
 //! compile-once property through [`crate::matcher::plan_compile_count`].
+//!
+//! Each [`CompiledRule`] also carries its [`RuleShape`]: the frontier and
+//! existential variables and a head template, all resolved against the
+//! positive-body plan's slots.  A chase that keeps a trigger as its slot
+//! values ([`crate::SlotBinding::slot_values`]) builds the rule's head atoms
+//! and Skolem witness key from them directly, with no substitution and no
+//! per-trigger variable-set computation.
 
 use crate::atom::Atom;
 use crate::interpretation::Interpretation;
@@ -28,6 +35,8 @@ use crate::matcher::CompiledConjunction;
 use crate::parallel;
 use crate::program::{DisjunctiveProgram, Program};
 use crate::rule::{Ndtgd, Ntgd};
+use crate::symbol::Symbol;
+use crate::term::Term;
 
 /// Programs with at least this many rules compile their per-rule plans on
 /// the [`parallel`] pool (the per-rule planner runs are independent and the
@@ -44,6 +53,108 @@ const _: () = {
     assert_send_sync::<CompiledDisjunctiveRuleSet>();
 };
 
+/// One argument of a [`HeadTemplate`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum HeadArg {
+    /// A ground term written in the rule.
+    Fixed(Term),
+    /// A frontier variable: the value of this positive-body slot.
+    Slot(usize),
+    /// The witness of the rule's existential variable with this index (in
+    /// [`Ntgd::existential_variables`] order).
+    Existential(usize),
+}
+
+/// A head atom whose every argument is resolved to a constant, a
+/// positive-body slot, or the index of an existential variable.
+#[derive(Clone, Debug)]
+pub struct HeadTemplate {
+    predicate: Symbol,
+    args: Vec<HeadArg>,
+}
+
+impl HeadTemplate {
+    /// The atom's predicate.
+    pub fn predicate(&self) -> Symbol {
+        self.predicate
+    }
+
+    /// Writes the atom's arguments into `out` (cleared first), given the
+    /// positive-body slot values and the existential witnesses.
+    pub fn ground_into(&self, slots: &[Term], witnesses: &[Term], out: &mut Vec<Term>) {
+        out.clear();
+        out.extend(self.args.iter().map(|arg| match *arg {
+            HeadArg::Fixed(term) => term,
+            HeadArg::Slot(slot) => slots[slot],
+            HeadArg::Existential(index) => witnesses[index],
+        }));
+    }
+}
+
+/// The variable structure of one [`Ntgd`], resolved once against its
+/// positive-body plan: which body slots form the frontier, how many
+/// existential variables the head has, and a template per head atom.
+#[derive(Clone, Debug)]
+pub struct RuleShape {
+    frontier: Vec<usize>,
+    existentials: Vec<Symbol>,
+    head: Vec<HeadTemplate>,
+}
+
+impl RuleShape {
+    fn new(rule: &Ntgd, body_positive: &CompiledConjunction) -> RuleShape {
+        // Safety of the rule (every body variable occurs in a positive
+        // literal) makes every non-existential head variable a body slot.
+        let slot_of = |variable: Symbol| {
+            body_positive
+                .slot_of(&Term::Var(variable))
+                .expect("a safe rule binds every body variable in its positive body")
+        };
+        let existentials: Vec<Symbol> = rule.existential_variables().into_iter().collect();
+        let head = rule
+            .head()
+            .iter()
+            .map(|atom| HeadTemplate {
+                predicate: atom.predicate(),
+                args: atom
+                    .args()
+                    .iter()
+                    .map(|term| match *term {
+                        Term::Var(variable) => {
+                            match existentials.iter().position(|e| *e == variable) {
+                                Some(index) => HeadArg::Existential(index),
+                                None => HeadArg::Slot(slot_of(variable)),
+                            }
+                        }
+                        ground => HeadArg::Fixed(ground),
+                    })
+                    .collect(),
+            })
+            .collect();
+        RuleShape {
+            frontier: rule.frontier_variables().into_iter().map(slot_of).collect(),
+            existentials,
+            head,
+        }
+    }
+
+    /// The positive-body slots of the frontier variables, in
+    /// [`Ntgd::frontier_variables`] order.
+    pub fn frontier(&self) -> &[usize] {
+        &self.frontier
+    }
+
+    /// The existential variables, in [`Ntgd::existential_variables`] order.
+    pub fn existentials(&self) -> &[Symbol] {
+        &self.existentials
+    }
+
+    /// One template per head atom, in head order.
+    pub fn head(&self) -> &[HeadTemplate] {
+        &self.head
+    }
+}
+
 /// The cached plans of one [`Ntgd`].
 #[derive(Clone, Debug)]
 pub struct CompiledRule {
@@ -51,14 +162,17 @@ pub struct CompiledRule {
     body_positive: CompiledConjunction,
     head: CompiledConjunction,
     head_atoms: Vec<CompiledConjunction>,
+    shape: RuleShape,
 }
 
 impl CompiledRule {
     fn new(rule: &Ntgd, stats: &Interpretation) -> CompiledRule {
         let positive: Vec<Atom> = rule.body_positive().into_iter().cloned().collect();
+        let body_positive = CompiledConjunction::compile_atoms(&positive, stats);
         CompiledRule {
             body: CompiledConjunction::compile(rule.body(), stats),
-            body_positive: CompiledConjunction::compile_atoms(&positive, stats),
+            shape: RuleShape::new(rule, &body_positive),
+            body_positive,
             head: CompiledConjunction::compile_atoms(rule.head(), stats),
             head_atoms: rule
                 .head()
@@ -66,6 +180,11 @@ impl CompiledRule {
                 .map(|a| CompiledConjunction::compile_atoms(std::slice::from_ref(a), stats))
                 .collect(),
         }
+    }
+
+    /// The rule's variable structure over the positive-body slots.
+    pub fn shape(&self) -> &RuleShape {
+        &self.shape
     }
 
     /// The full body (positive and negative literals).
@@ -309,6 +428,52 @@ mod tests {
             one_shot.sort();
             assert_eq!(cached, one_shot, "rule {index}");
         }
+    }
+
+    #[test]
+    fn rule_shapes_ground_heads_from_body_slots() {
+        // r(Z, W), s(W, c) <- p(X, Y), q(Y, Z): frontier {Z}, existential W.
+        let rule = Ntgd::new(
+            vec![
+                pos("p", vec![var("X"), var("Y")]),
+                pos("q", vec![var("Y"), var("Z")]),
+            ],
+            vec![
+                atom("r", vec![var("Z"), var("W")]),
+                atom("s", vec![var("W"), cst("c")]),
+            ],
+        )
+        .unwrap();
+        let program = Program::from_rules(vec![rule.clone()]).unwrap();
+        let plans = CompiledRuleSet::from_program(&program, &Interpretation::new());
+        let body = plans.rule(0).body_positive();
+        let shape = plans.rule(0).shape();
+        assert_eq!(shape.frontier(), &[body.slot_of(&var("Z")).unwrap()]);
+        assert_eq!(shape.existentials(), &[Symbol::intern("W")]);
+        let instance = Interpretation::from_atoms(vec![
+            atom("p", vec![cst("a"), cst("b")]),
+            atom("q", vec![cst("b"), cst("d")]),
+            atom("q", vec![cst("b"), cst("e")]),
+        ]);
+        let witness = [Term::Null(9)];
+        let mut args = Vec::new();
+        let mut visited = 0;
+        body.for_each(&instance, &Substitution::new(), &mut |binding| {
+            visited += 1;
+            let slots: Vec<Term> = binding.slot_values().collect();
+            assert_eq!(slots.len(), body.slot_count());
+            let mut extended = binding.to_substitution();
+            extended.bind(var("W"), witness[0]);
+            for (template, head_atom) in shape.head().iter().zip(rule.head()) {
+                template.ground_into(&slots, &witness, &mut args);
+                assert_eq!(
+                    Atom::new(template.predicate(), args.clone()),
+                    extended.apply_atom(head_atom)
+                );
+            }
+            std::ops::ControlFlow::Continue(())
+        });
+        assert_eq!(visited, 2);
     }
 
     #[test]
